@@ -16,16 +16,14 @@
 //! Run: `cargo run --release -p hyrise-nv-bench --bin a4_crash_matrix`
 //! (`--quick` shrinks the sweep for CI).
 
-use std::collections::BTreeMap;
 use std::time::Instant;
 
 use benchkit::{print_table, write_json, Row};
+use hyrise_nv::torture::{engine_state, schema, Oracle};
 use hyrise_nv::{Database, DurabilityConfig, IndexKind, TableId};
 use nvm::{CrashPoint, CrashSchedule, LatencyModel, MidEpochSurvival, TraceConfig};
-use storage::{ColumnDef, DataType, Schema, Value};
+use storage::Value;
 use util::rng::{Rng, SmallRng};
-
-type Oracle = BTreeMap<i64, i64>;
 
 fn fresh_db() -> (Database, TableId) {
     let mut db = Database::create(DurabilityConfig::Nvm {
@@ -33,15 +31,7 @@ fn fresh_db() -> (Database, TableId) {
         latency: LatencyModel::zero(),
     })
     .unwrap();
-    let t = db
-        .create_table(
-            "t",
-            Schema::new(vec![
-                ColumnDef::new("k", DataType::Int),
-                ColumnDef::new("ver", DataType::Int),
-            ]),
-        )
-        .unwrap();
+    let t = db.create_table("t", schema()).unwrap();
     db.create_index(t, 0, IndexKind::Hash).unwrap();
     (db, t)
 }
@@ -129,13 +119,7 @@ fn crash_once(seed: u64, txns: usize, point: CrashPoint, stats: &mut ClassStats)
         .find(|(cts, _)| *cts <= report.last_cts)
         .map(|(_, o)| o.clone())
         .unwrap_or_default();
-    let tx = db.begin();
-    let got: Oracle = db
-        .scan_all(&tx, t)
-        .unwrap()
-        .into_iter()
-        .map(|r| (r.values[0].as_int().unwrap(), r.values[1].as_int().unwrap()))
-        .collect();
+    let got = engine_state(&mut db, t).unwrap();
     let integrity = db.verify_integrity().unwrap();
     if got != expected || !integrity.is_clean() {
         stats.violations += 1;

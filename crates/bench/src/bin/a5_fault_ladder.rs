@@ -19,16 +19,13 @@
 //! Run: `cargo run --release -p hyrise-nv-bench --bin a5_fault_ladder`
 //! (`--quick` shrinks the sweep for CI).
 
-use std::collections::BTreeMap;
 use std::time::Instant;
 
 use benchkit::{print_table, write_json, Row};
-use hyrise_nv::{Database, DurabilityConfig, IndexKind, TableId};
+use hyrise_nv::torture::{engine_state, load_unique_keys, setup_tables, Oracle};
+use hyrise_nv::{Database, DurabilityConfig, TableId};
 use nvm::{FaultClass, FaultSpec, LatencyModel, CACHE_LINE};
-use storage::{ColumnDef, DataType, Schema, Value};
 use util::rng::{Rng, SmallRng};
-
-type Oracle = BTreeMap<i64, i64>;
 
 /// Build a committed NVM+shadow-WAL database: merged main + populated
 /// delta + both index kinds. Returns the committed-state oracle.
@@ -38,47 +35,9 @@ fn build_db(seed: u64) -> (Database, TableId, Oracle) {
         LatencyModel::zero(),
     ))
     .unwrap();
-    let t = db
-        .create_table(
-            "t",
-            Schema::new(vec![
-                ColumnDef::new("k", DataType::Int),
-                ColumnDef::new("ver", DataType::Int),
-            ]),
-        )
-        .unwrap();
-    db.create_index(t, 0, IndexKind::Hash).unwrap();
-    db.create_index(t, 1, IndexKind::Ordered).unwrap();
-
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut oracle = Oracle::new();
-    for txn_i in 0..12 {
-        let mut tx = db.begin();
-        for _ in 0..10 {
-            let key = rng.gen_range_i64(0, 4000);
-            if oracle.contains_key(&key) {
-                continue;
-            }
-            let ver = rng.next_u64() as i64 & 0xFFFF;
-            db.insert(&mut tx, t, &[Value::Int(key), Value::Int(ver)])
-                .unwrap();
-            oracle.insert(key, ver);
-        }
-        db.commit(&mut tx).unwrap();
-        if txn_i == 6 {
-            db.merge(t).unwrap();
-        }
-    }
+    let t = setup_tables(&mut db).unwrap();
+    let oracle = load_unique_keys(&mut db, t, seed, true).unwrap();
     (db, t, oracle)
-}
-
-fn scan_state(db: &mut Database, t: TableId) -> hyrise_nv::Result<Oracle> {
-    let tx = db.begin();
-    Ok(db
-        .scan_all(&tx, t)?
-        .into_iter()
-        .map(|r| (r.values[0].as_int().unwrap(), r.values[1].as_int().unwrap()))
-        .collect())
 }
 
 /// A fault target strictly inside a checksummed extent (interior lines, so
@@ -145,7 +104,7 @@ fn run_cell(class: FaultClass, rate: u32, scenarios: u64, seed_base: u64) -> Cel
         // reads back exactly as committed (fault landed on dead bytes).
         let detected = db.verify_media().is_err();
         if !detected {
-            match scan_state(&mut db, t) {
+            match engine_state(&mut db, t) {
                 Ok(state) if state != oracle => {
                     eprintln!(
                         "SILENT CORRUPTION: class {class} rate {rate} seed {seed:#x}: wrong \
@@ -177,7 +136,9 @@ fn run_cell(class: FaultClass, rate: u32, scenarios: u64, seed_base: u64) -> Cel
         stats.retries += report.poison_retries;
         stats.rebuilt += report.structures_rebuilt;
 
-        let healthy = scan_state(&mut db, t).map(|s| s == oracle).unwrap_or(false)
+        let healthy = engine_state(&mut db, t)
+            .map(|s| s == oracle)
+            .unwrap_or(false)
             && db.verify_media().is_ok()
             && db.verify_integrity().map(|i| i.is_clean()).unwrap_or(false);
         if healthy {
@@ -291,8 +252,9 @@ fn main() {
     );
     let report = db.restart_after_crash().unwrap();
     print!("{}", report.render());
-    let recovered =
-        scan_state(&mut db, t).unwrap() == oracle && db.verify_media().is_ok() && report.rung == 2;
+    let recovered = engine_state(&mut db, t).unwrap() == oracle
+        && db.verify_media().is_ok()
+        && report.rung == 2;
     println!(
         "rung-2 fallback {}: {} rows match the committed oracle",
         if recovered { "succeeded" } else { "FAILED" },

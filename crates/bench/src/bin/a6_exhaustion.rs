@@ -16,16 +16,10 @@
 use std::time::Instant;
 
 use benchkit::{print_table, write_json, Row};
+use hyrise_nv::torture::schema;
 use hyrise_nv::{retry_write, Database, DurabilityConfig, EngineError, HealthState, TableId};
 use nvm::{AllocFaultClass, AllocFaultSpec, LatencyModel};
-use storage::{ColumnDef, DataType, Value};
-
-fn schema() -> storage::Schema {
-    storage::Schema::new(vec![
-        ColumnDef::new("k", DataType::Int),
-        ColumnDef::new("ver", DataType::Int),
-    ])
-}
+use storage::Value;
 
 fn fresh_db() -> (Database, TableId) {
     let mut db = Database::create(DurabilityConfig::nvm_with_wal(

@@ -17,19 +17,13 @@
 use std::time::Instant;
 
 use benchkit::{print_table, write_json, Row};
-use hyrise_nv::{Database, DurabilityConfig, IndexKind, PersistStats, TableId};
+use hyrise_nv::torture::{engine_state, setup_tables, Oracle};
+use hyrise_nv::{Database, DurabilityConfig, PersistStats, TableId};
 use nvm::{
     CrashPoint, CrashSchedule, FaultClass, FaultSpec, LatencyModel, TraceConfig, CACHE_LINE,
 };
-use storage::{ColumnDef, DataType, Schema, Value};
+use storage::Value;
 use util::rng::{Rng, SmallRng};
-
-fn schema() -> Schema {
-    Schema::new(vec![
-        ColumnDef::new("k", DataType::Int),
-        ColumnDef::new("ver", DataType::Int),
-    ])
-}
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Class {
@@ -44,9 +38,7 @@ fn fresh_db(class: Class) -> (Database, TableId) {
         _ => DurabilityConfig::nvm_with_wal(16 << 20, LatencyModel::zero()),
     };
     let mut db = Database::create(cfg).unwrap();
-    let t = db.create_table("t", schema()).unwrap();
-    db.create_index(t, 0, IndexKind::Hash).unwrap();
-    db.create_index(t, 1, IndexKind::Ordered).unwrap();
+    let t = setup_tables(&mut db).unwrap();
     (db, t)
 }
 
@@ -120,20 +112,8 @@ fn pick_fault(db: &Database, t: TableId, seed: u64) -> FaultSpec {
     }
 }
 
-fn state(db: &mut Database, t: TableId) -> Vec<(i64, i64)> {
-    let tx = db.begin();
-    let mut rows: Vec<(i64, i64)> = db
-        .scan_all(&tx, t)
-        .unwrap()
-        .into_iter()
-        .map(|r| (r.values[0].as_int().unwrap(), r.values[1].as_int().unwrap()))
-        .collect();
-    rows.sort_unstable();
-    rows
-}
-
 struct ChainStats {
-    state: Vec<(i64, i64)>,
+    state: Oracle,
     last_cts: u64,
     attempt: u64,
     terminal_wall_s: f64,
@@ -183,7 +163,7 @@ fn run_chain(class: Class, seed: u64, p0: CrashPoint, nested: &[CrashPoint]) -> 
         integrity.render()
     );
     ChainStats {
-        state: state(&mut db, t),
+        state: engine_state(&mut db, t).unwrap(),
         last_cts: report.last_cts,
         attempt: report.attempt,
         terminal_wall_s,

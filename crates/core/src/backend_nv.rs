@@ -20,13 +20,17 @@
 use std::sync::Arc;
 
 use index::{NvHashIndex, NvOrderedIndex};
-use nvm::{AllocatorRecovery, LatencyModel, NvmHeap, NvmRegion};
-use storage::mvcc::TS_INF;
-use storage::nv::{read_string, store_string, NvTable};
-use storage::{Schema, TableStore, VTable};
+use nvm::{CrashPoint, CrashPolicy, NvmHeap, NvmRegion};
+use storage::nv::{read_string, store_string, MediaExtent, NvTable};
+use storage::{RowId, Schema, TableStore, VTable, Value};
+use txn::{Transaction, TxnManager};
 
+use crate::config::{IndexKind, WalConfig};
 use crate::error::{EngineError, Result};
-use crate::shadow_wal::ShadowWal;
+use crate::health::ReclaimReport;
+use crate::report::{IntegrityReport, RecoveryReport};
+use crate::shadow_wal::{copy_versions, ShadowWal};
+use crate::store::{unknown_table, Probe, Store};
 use crate::txn_registry::TxnRegistry;
 use crate::{MAX_INDEXES_PER_TABLE, MAX_TABLES};
 
@@ -52,6 +56,7 @@ pub(crate) const KIND_HASH: u64 = 0;
 pub(crate) const KIND_ORDERED: u64 = 1;
 
 /// Per-table index sets — all persistent on this backend.
+#[derive(Default)]
 pub(crate) struct NvTableIndexes {
     /// Persistent hash indexes (attached, never rebuilt).
     pub hash: Vec<NvHashIndex>,
@@ -69,6 +74,8 @@ pub struct NvBackend {
     pub(crate) registry: TxnRegistry,
     /// Shadow redo log (recovery rung 2); None on the plain NVM backend.
     pub(crate) shadow: Option<ShadowWal>,
+    /// Where the shadow log lives, kept so every recovery re-attaches it.
+    pub(crate) shadow_cfg: Option<WalConfig>,
 }
 
 /// Catalogue decode with per-table failure isolation — the raw material of
@@ -166,19 +173,18 @@ impl AttachParts {
             indexes,
             registry: self.registry,
             shadow: None,
+            shadow_cfg: None,
         })
     }
 }
 
 impl NvBackend {
-    /// Format a fresh region and create an empty catalogue.
-    pub fn create(capacity: u64, latency: LatencyModel) -> Result<NvBackend> {
-        Self::create_on_region(Arc::new(NvmRegion::new(capacity, latency)))
-    }
-
-    /// Format a caller-built region (simulated or file-backed) and create
-    /// an empty catalogue on it.
-    pub fn create_on_region(region: Arc<NvmRegion>) -> Result<NvBackend> {
+    /// Format `region` and create an empty catalogue on it, plus a fresh
+    /// shadow log (with its baseline checkpoint) when `shadow_cfg` is set.
+    pub(crate) fn create(
+        region: Arc<NvmRegion>,
+        shadow_cfg: Option<WalConfig>,
+    ) -> Result<NvBackend> {
         let heap = NvmHeap::format(region)?;
         let catalog = heap.alloc(CAT_SIZE)?;
         let registry = TxnRegistry::create(&heap)?;
@@ -190,7 +196,7 @@ impl NvBackend {
         r.write_pod(catalog + CAT_CLEAN, &0u64)?;
         r.persist(catalog, CAT_ENTRIES)?;
         heap.set_root(catalog)?;
-        Ok(NvBackend {
+        let mut b = NvBackend {
             heap,
             catalog,
             tables: Vec::new(),
@@ -198,29 +204,25 @@ impl NvBackend {
             indexes: Vec::new(),
             registry,
             shadow: None,
-        })
-    }
-
-    /// Re-open an existing region after a (simulated) power failure: run the
-    /// allocator recovery scan, then re-attach the catalogue, tables (probe
-    /// rebuild), and indexes. Returns the backend plus the allocator report.
-    pub fn open(region: Arc<NvmRegion>) -> Result<(NvBackend, AllocatorRecovery)> {
-        let (heap, alloc_report) = NvmHeap::open(region)?;
-        Ok((Self::attach(heap)?, alloc_report))
+            shadow_cfg,
+        };
+        if let Some(cfg) = b.shadow_cfg.clone() {
+            let mut sw = ShadowWal::create(cfg, b.region().clone())?;
+            sw.checkpoint_full(&b.names, &b.tables, 0)?;
+            b.shadow = Some(sw);
+        }
+        Ok(b)
     }
 
     /// Re-attach catalogue, tables, and indexes over an already-recovered
     /// heap (the restart path times this separately from the allocator
     /// scan). The first per-table failure is a hard error — this is the
     /// fast rung-0 path; the ladder uses [`NvBackend::attach_parts`].
-    pub fn attach(heap: NvmHeap) -> Result<NvBackend> {
+    pub(crate) fn attach(heap: NvmHeap) -> Result<NvBackend> {
         let parts = Self::attach_parts(heap)?;
         let mut indexes = Vec::with_capacity(parts.tables.len());
         for t in 0..parts.tables.len() {
-            let mut set = NvTableIndexes {
-                hash: Vec::new(),
-                ordered: Vec::new(),
-            };
+            let mut set = NvTableIndexes::default();
             for e in parts.index_entries(t)? {
                 match e.kind {
                     KIND_HASH => set.hash.push(NvHashIndex::open(&parts.heap, e.desc)?),
@@ -281,40 +283,8 @@ impl NvBackend {
     /// entries and freshly rebuilt indexes stay aligned.
     pub(crate) fn rebuild_table_from(heap: &NvmHeap, src: &VTable) -> Result<NvTable> {
         let mut nt = NvTable::create(heap, src.schema().clone())?;
-        for row in 0..src.row_count() {
-            let values = src.row_values(row)?;
-            let begin = src.begin_ts(row)?;
-            let got = nt.insert_version(&values, begin)?;
-            if got != row {
-                return Err(EngineError::Catalog(
-                    "row id drift during WAL table rebuild".into(),
-                ));
-            }
-            let end = src.end_ts(row)?;
-            if end != TS_INF {
-                nt.commit_invalidate(row, end)?;
-            }
-        }
+        copy_versions(src, &mut nt)?;
         Ok(nt)
-    }
-
-    /// Counts of (persistently re-attached, DRAM-rebuilt) indexes. On this
-    /// backend every index is persistent, so nothing is ever rebuilt.
-    pub fn index_counts(&self) -> (u64, u64) {
-        let attached = self
-            .indexes
-            .iter()
-            .map(|s| (s.hash.len() + s.ordered.len()) as u64)
-            .sum();
-        (attached, 0)
-    }
-
-    /// A cloneable durable-publish handle for the commit protocol.
-    pub fn publisher(&self) -> NvPublisher {
-        NvPublisher {
-            heap: self.heap.clone(),
-            catalog: self.catalog,
-        }
     }
 
     /// The shared region (crash injection, stats, clock).
@@ -388,17 +358,6 @@ impl NvBackend {
         self.registry.slot_tid_extent(slot)
     }
 
-    /// Recovery attempt counter still recorded in the catalogue (0 after
-    /// a completed recovery; a successful [`NvBackend::create`] also
-    /// starts at 0).
-    pub fn recovery_attempts(&self) -> Result<u64> {
-        // pmlint: observe(recovery-progress)
-        Ok(self
-            .heap
-            .region()
-            .load_u64_acquire(self.catalog + CAT_PROGRESS)?)
-    }
-
     /// Durably set the clean-shutdown marker. Called by
     /// [`Database::shutdown`](crate::Database::shutdown) after the last
     /// transaction; the next open clears it and skips the undo pass.
@@ -429,61 +388,238 @@ impl NvBackend {
             .load_u64_acquire(self.catalog + CAT_LAST_CTS)?)
     }
 
-    /// Durably publish a commit timestamp — the commit's linearization
-    /// point (one 8-byte persist).
-    pub fn publish_cts(&self, cts: u64) -> Result<()> {
+    fn idx_block(&self, table: usize) -> Result<u64> {
+        let base = self.catalog + CAT_ENTRIES + table as u64 * CAT_ENTRY_STRIDE;
+        Ok(self.heap.region().read_pod(base + 16)?)
+    }
+
+    /// Durably append an index registration to table `table`'s index
+    /// block: entry first, then the count that publishes it.
+    fn register_index(&self, table: usize, kind: u64, column: usize, desc: u64) -> Result<()> {
+        let idx_block = self.idx_block(table)?;
         let r = self.heap.region();
-        // pmlint: publish(catalog-cts)
-        r.store_u64_release(self.catalog + CAT_LAST_CTS, cts)?;
-        r.persist(self.catalog + CAT_LAST_CTS, 8)?;
+        // pmlint: observe(index-count)
+        let count: u64 = r.load_u64_acquire(idx_block + IDX_COUNT)?;
+        let ib = idx_block + IDX_ENTRIES + count * IDX_ENTRY_STRIDE;
+        r.write_pod(ib, &kind)?;
+        r.write_pod(ib + 8, &(column as u64))?;
+        r.write_pod(ib + 16, &desc)?;
+        r.persist(ib, IDX_ENTRY_STRIDE)?;
+        // pmlint: publish(index-count)
+        r.store_u64_release(idx_block + IDX_COUNT, count + 1)?;
+        r.persist(idx_block + IDX_COUNT, 8)?;
         Ok(())
     }
 
-    /// Run the commit protocol: stamp the transaction's writes, sync the
-    /// shadow log (when configured) and only then durably publish the
-    /// commit timestamp to NVM — the ordering that keeps the shadow log a
-    /// superset of the published state.
-    pub(crate) fn commit_txn(
+    /// Notify indexes of a new row version.
+    fn index_insert(&mut self, table: usize, values: &[Value], row: u64) -> Result<()> {
+        for idx in &self.indexes[table].hash {
+            idx.insert(&values[idx.column()], row)?;
+        }
+        for idx in &self.indexes[table].ordered {
+            idx.insert(&values[idx.column()], row)?;
+        }
+        Ok(())
+    }
+
+    /// Heap utilization and shadow-log wedge state — the health machine's
+    /// inputs.
+    pub(crate) fn pressure(&self) -> (f64, bool) {
+        (self.heap.stats().utilization(), self.wal_wedged())
+    }
+
+    /// True while the shadow-WAL writer is wedged by an out-of-space
+    /// failure.
+    pub(crate) fn wal_wedged(&self) -> bool {
+        self.shadow.as_ref().is_some_and(|sw| sw.is_wedged())
+    }
+
+    /// Arm an out-of-space fault on the shadow log.
+    pub(crate) fn arm_wal_fault(&mut self, spec: wal::WalFaultSpec) -> Result<()> {
+        match &mut self.shadow {
+            Some(sw) => {
+                sw.arm_fault(spec);
+                Ok(())
+            }
+            None => Err(EngineError::Unsupported(
+                "wal fault injection requires a shadow wal",
+            )),
+        }
+    }
+
+    /// Emergency reclamation (see [`Database::reclaim`](crate::Database::reclaim)).
+    pub(crate) fn reclaim(&mut self, snapshot: u64, rep: &mut ReclaimReport) -> Result<()> {
+        // A wedged log blocks merges (they append merge records), so it is
+        // recreated first. The fresh log starts empty; the immediate
+        // full-state checkpoint restores the `log ⊇ published state`
+        // invariant rung 2 depends on.
+        if self.wal_wedged() {
+            if let Some(cfg) = self.shadow_cfg.clone() {
+                let mut sw = ShadowWal::create(cfg, self.region().clone())?;
+                sw.checkpoint_full(&self.names, &self.tables, snapshot)?;
+                self.shadow = Some(sw);
+                rep.wal_recreated = true;
+            }
+        }
+        for t in 0..self.tables.len() {
+            match self.merge(t, snapshot) {
+                Ok(_) => rep.tables_merged += 1,
+                Err(e) => {
+                    // A merge needs headroom for the new main; at the brim
+                    // it can itself exhaust capacity. Skip the table (its
+                    // old image is untouched) and keep reclaiming elsewhere.
+                    let e = e.normalize_capacity();
+                    if e.is_capacity() {
+                        rep.merges_failed += 1;
+                    } else {
+                        return Err(e);
+                    }
+                }
+            }
+        }
+        let (blocks, bytes) = self.heap.reclaim_reserved()?;
+        rep.reserved_blocks_freed = blocks;
+        rep.reserved_bytes_freed = bytes;
+        Ok(())
+    }
+
+    /// Graceful shutdown: flush the shadow log and durably set the
+    /// clean-shutdown marker. Returns the region for the final sync.
+    pub(crate) fn shutdown(&mut self) -> Result<Arc<NvmRegion>> {
+        // Drop the shadow writer first: its buffered records reach the log
+        // file on drop, keeping the log a superset of the published NVM
+        // state even across the shutdown.
+        self.shadow = None;
+        self.mark_clean_shutdown()?;
+        Ok(self.region().clone())
+    }
+
+    /// Materialize the crash point armed on the region and recover from
+    /// the surviving image. With `rearm = Some(next)` the persist trace
+    /// stays armed across the recovery, with `next` scheduled inside it;
+    /// with `None` the recovery runs under the linter and the trace is
+    /// closed afterwards.
+    pub(crate) fn restart_scheduled(
         &mut self,
-        mgr: &mut txn::TxnManager,
-        tx: &mut txn::Transaction,
-    ) -> Result<u64> {
-        let NvBackend {
-            heap,
-            catalog,
-            tables,
-            registry,
-            shadow,
-            ..
-        } = self;
-        let mut publisher = ShadowedNvPublisher {
-            heap: heap.clone(),
-            catalog: *catalog,
-            shadow: shadow.as_mut(),
+        rearm: Option<Option<CrashPoint>>,
+        report: &mut RecoveryReport,
+    ) -> Result<()> {
+        let region = self.region().clone();
+        // Flush the shadow writer's buffer into the log file before
+        // materializing the crash (the file survives power loss).
+        self.shadow = None;
+        report.scheduled = Some(region.finalize_scheduled_crash()?);
+        if let Some(next) = rearm {
+            region.rearm_recovery_crash(next)?;
+        }
+        let recovered = NvBackend::recover(region.clone(), self.shadow_cfg.clone(), report);
+        if rearm.is_none() {
+            report.lint_findings = region.take_lint_findings();
+            let _ = region.trace_stop();
+        }
+        // A failed traced attempt leaves the trace armed and this stale
+        // backend in place: the next call retries the power cycle.
+        *self = recovered?;
+        if rearm.is_some() {
+            report.lint_findings = region.take_lint_findings();
+        }
+        Ok(())
+    }
+
+    /// The labelled persistent extents of table `t`.
+    pub(crate) fn media_extents(&self, t: usize) -> Result<Vec<MediaExtent>> {
+        Ok(self.tables[t].media_extents()?)
+    }
+
+    /// The labelled persistent extents of table `t`'s indexes.
+    pub(crate) fn index_media_extents(&self, t: usize) -> Result<Vec<MediaExtent>> {
+        let set = &self.indexes[t];
+        let mut out = Vec::new();
+        for idx in &set.hash {
+            out.extend(idx.media_extents()?);
+        }
+        for idx in &set.ordered {
+            out.extend(idx.media_extents()?);
+        }
+        Ok(out)
+    }
+
+    /// Media-verify every table, then check every index against its
+    /// table. Returns the number of structures verified.
+    pub(crate) fn verify_media(&self) -> Result<u64> {
+        let last_cts = self.last_cts()?;
+        let mut n = 0u64;
+        for t in &self.tables {
+            n += t.verify_media(last_cts)?;
+        }
+        for (t, set) in self.tables.iter().zip(&self.indexes) {
+            for idx in &set.hash {
+                if !idx.verify_against(t)?.is_clean() {
+                    return Err(EngineError::Catalog(
+                        "hash index disagrees with its table".into(),
+                    ));
+                }
+                n += 1;
+            }
+            for idx in &set.ordered {
+                if !idx.verify_against(t)?.is_clean() {
+                    return Err(EngineError::Catalog(
+                        "ordered index disagrees with its table".into(),
+                    ));
+                }
+                n += 1;
+            }
+        }
+        Ok(n)
+    }
+}
+
+impl Store for NvBackend {
+    fn names(&self) -> &[String] {
+        &self.names
+    }
+
+    fn table(&self, t: usize) -> Result<&dyn TableStore> {
+        match self.tables.get(t) {
+            Some(table) => Ok(table),
+            None => Err(unknown_table(t)),
+        }
+    }
+
+    fn index_count(&self, t: usize) -> usize {
+        self.indexes
+            .get(t)
+            .map_or(0, |s| s.hash.len() + s.ordered.len())
+    }
+
+    fn probe(
+        &self,
+        t: usize,
+        column: usize,
+        probe: Probe<'_>,
+    ) -> Result<(&dyn TableStore, Option<Vec<RowId>>)> {
+        let (Some(table), Some(set)) = (self.tables.get(t), self.indexes.get(t)) else {
+            return Err(unknown_table(t));
         };
-        let cts = {
-            let mut refs: Vec<&mut dyn TableStore> = tables
-                .iter_mut()
-                .map(|t| t as &mut dyn TableStore)
-                .collect();
-            mgr.commit(tx, &mut refs, &mut publisher)?
+        let ordered = set.ordered.iter().find(|i| i.column() == column);
+        let rows = match probe {
+            Probe::Eq(v) => match set.hash.iter().find(|i| i.column() == column) {
+                Some(idx) => Some(idx.lookup(v)?),
+                None => match ordered {
+                    Some(idx) => Some(idx.lookup(v)?),
+                    None => None,
+                },
+            },
+            Probe::Range(lo, hi) => match ordered {
+                Some(idx) => Some(idx.lookup_range(lo, hi)?),
+                None => None,
+            },
         };
-        registry.release(tx.tid)?;
-        Ok(cts)
+        Ok((table, rows))
     }
 
     /// Create a table and durably register it.
-    pub fn create_table(&mut self, name: &str, schema: Schema) -> Result<usize> {
-        if self.tables.len() >= MAX_TABLES {
-            return Err(EngineError::Catalog(format!(
-                "table limit {MAX_TABLES} reached"
-            )));
-        }
-        if self.names.iter().any(|n| n == name) {
-            return Err(EngineError::Catalog(format!(
-                "duplicate table name {name:?}"
-            )));
-        }
+    fn create_table(&mut self, name: &str, schema: Schema, last_cts: u64) -> Result<usize> {
         let table = NvTable::create(&self.heap, schema)?;
         let name_ptr = store_string(&self.heap, name).map_err(EngineError::Storage)?;
         let idx_block = self.heap.alloc(IDX_BLOCK_SIZE)?;
@@ -504,94 +640,34 @@ impl NvBackend {
 
         self.tables.push(table);
         self.names.push(name.to_owned());
-        self.indexes.push(NvTableIndexes {
-            hash: Vec::new(),
-            ordered: Vec::new(),
-        });
+        self.indexes.push(NvTableIndexes::default());
         // Re-baseline the shadow checkpoint so rung 2 knows the new table
         // even when its NVM root is unreadable. DDL is a quiesced point, so
         // the full-state export is valid. A crash between the NVM publish
         // above and this write loses only an empty table from the fallback
         // path.
-        let cts = self.last_cts()?;
-        let NvBackend {
-            shadow,
-            names,
-            tables,
-            ..
-        } = self;
-        if let Some(sw) = shadow {
-            sw.checkpoint_full(names, tables, cts)?;
+        if let Some(sw) = &mut self.shadow {
+            sw.checkpoint_full(&self.names, &self.tables, last_cts)?;
         }
         Ok(t as usize)
     }
 
-    fn idx_block(&self, table: usize) -> Result<u64> {
-        let base = self.catalog + CAT_ENTRIES + table as u64 * CAT_ENTRY_STRIDE;
-        Ok(self.heap.region().read_pod(base + 16)?)
-    }
-
-    /// Create and durably register a persistent hash index over `column`,
+    /// Create and durably register a persistent index over `column`,
     /// populated from the table's current rows.
-    pub fn create_hash_index(&mut self, table: usize, column: usize) -> Result<()> {
-        let total = self.indexes[table].hash.len() + self.indexes[table].ordered.len();
-        if total >= MAX_INDEXES_PER_TABLE {
-            return Err(EngineError::Catalog("index limit reached".into()));
-        }
-        let nbuckets = (self.tables[table].row_count() * 2).max(1024);
-        let idx = NvHashIndex::build_from(&self.heap, &self.tables[table], column, nbuckets)?;
-        let idx_block = self.idx_block(table)?;
-        let r = self.heap.region();
-        // pmlint: observe(index-count)
-        let count: u64 = r.load_u64_acquire(idx_block + IDX_COUNT)?;
-        let ib = idx_block + IDX_ENTRIES + count * IDX_ENTRY_STRIDE;
-        r.write_pod(ib, &KIND_HASH)?;
-        r.write_pod(ib + 8, &(column as u64))?;
-        r.write_pod(ib + 16, &idx.desc_offset())?;
-        r.persist(ib, IDX_ENTRY_STRIDE)?;
-        // pmlint: publish(index-count)
-        r.store_u64_release(idx_block + IDX_COUNT, count + 1)?;
-        r.persist(idx_block + IDX_COUNT, 8)?;
-        self.indexes[table].hash.push(idx);
-        Ok(())
-    }
-
-    /// Create and durably register a persistent ordered (skip-list) index
-    /// over `column`, populated from the table's current rows.
-    pub fn create_ordered_index(&mut self, table: usize, column: usize) -> Result<()> {
-        let total = self.indexes[table].hash.len() + self.indexes[table].ordered.len();
-        if total >= MAX_INDEXES_PER_TABLE {
-            return Err(EngineError::Catalog("index limit reached".into()));
-        }
-        let oi = NvOrderedIndex::build_from(&self.heap, &self.tables[table], column)?;
-        let idx_block = self.idx_block(table)?;
-        let r = self.heap.region();
-        // pmlint: observe(index-count)
-        let count: u64 = r.load_u64_acquire(idx_block + IDX_COUNT)?;
-        let ib = idx_block + IDX_ENTRIES + count * IDX_ENTRY_STRIDE;
-        r.write_pod(ib, &KIND_ORDERED)?;
-        r.write_pod(ib + 8, &(column as u64))?;
-        r.write_pod(ib + 16, &oi.desc_offset())?;
-        r.persist(ib, IDX_ENTRY_STRIDE)?;
-        // pmlint: publish(index-count)
-        r.store_u64_release(idx_block + IDX_COUNT, count + 1)?;
-        r.persist(idx_block + IDX_COUNT, 8)?;
-        self.indexes[table].ordered.push(oi);
-        Ok(())
-    }
-
-    /// Notify indexes of a new row version.
-    pub fn index_insert(
-        &mut self,
-        table: usize,
-        values: &[storage::Value],
-        row: u64,
-    ) -> Result<()> {
-        for idx in &self.indexes[table].hash {
-            idx.insert(&values[idx.column()], row)?;
-        }
-        for idx in &self.indexes[table].ordered {
-            idx.insert(&values[idx.column()], row)?;
+    fn create_index(&mut self, t: usize, column: usize, kind: IndexKind) -> Result<()> {
+        let table = &self.tables[t];
+        match kind {
+            IndexKind::Hash => {
+                let nbuckets = (table.row_count() * 2).max(1024);
+                let idx = NvHashIndex::build_from(&self.heap, table, column, nbuckets)?;
+                self.register_index(t, KIND_HASH, column, idx.desc_offset())?;
+                self.indexes[t].hash.push(idx);
+            }
+            IndexKind::Ordered => {
+                let idx = NvOrderedIndex::build_from(&self.heap, table, column)?;
+                self.register_index(t, KIND_ORDERED, column, idx.desc_offset())?;
+                self.indexes[t].ordered.push(idx);
+            }
         }
         Ok(())
     }
@@ -604,11 +680,7 @@ impl NvBackend {
     /// capacity failure at any point unwinds to a clean abort — old table
     /// and old indexes fully intact. (A crash between the pair swap and
     /// the descriptor swaps leaks the new indexes until the next merge.)
-    pub fn merge_table(
-        &mut self,
-        table: usize,
-        snapshot: u64,
-    ) -> Result<storage::table_ops::MergeStats> {
+    fn merge(&mut self, table: usize, snapshot: u64) -> Result<storage::MergeStats> {
         // Phase 1: plan (read-only) and build replacement indexes against
         // the plan. Post-merge row ids are positions in the survivor list.
         let plan = self.tables[table].merge_plan(snapshot)?;
@@ -725,24 +797,137 @@ impl NvBackend {
         }
         Ok(stats)
     }
+
+    fn insert(&mut self, tx: &Transaction, t: usize, values: &[Value]) -> Result<RowId> {
+        // Write-ahead registry entry: the row id an insert will get is
+        // deterministic (next physical slot), so recovery can be told
+        // about it before the row materializes.
+        let row = self.tables[t].row_count();
+        self.registry.record_insert(tx.tid, t, row)?;
+        let got = self.tables[t].insert_version(values, tx.marker())?;
+        debug_assert_eq!(got, row);
+        // The version exists but the transaction has not recorded it yet:
+        // a failure in the index or log step must tombstone it here, or
+        // nothing ever would.
+        let tail = self.index_insert(t, values, got).and_then(|()| {
+            if let Some(sw) = &mut self.shadow {
+                sw.log_insert(tx.tid, t, got, values)?;
+            }
+            Ok(())
+        });
+        if let Err(e) = tail {
+            let _ = self.tables[t].abort_insert(got);
+            return Err(e);
+        }
+        Ok(got)
+    }
+
+    fn invalidate(&mut self, tx: &Transaction, t: usize, row: RowId) -> Result<()> {
+        self.registry.record_invalidate(tx.tid, t, row)?;
+        self.tables[t].try_invalidate(row, tx.marker())?;
+        if let Some(sw) = &mut self.shadow {
+            // The end marker is already placed but the transaction has not
+            // recorded it: restore it on a failed append.
+            if let Err(e) = sw.log_invalidate(tx.tid, t, row) {
+                let _ = self.tables[t].restore_end(row);
+                return Err(e);
+            }
+        }
+        Ok(())
+    }
+
+    /// Run the commit protocol: stamp the transaction's writes, sync the
+    /// shadow log (when configured) and only then durably publish the
+    /// commit timestamp to NVM — the ordering that keeps the shadow log a
+    /// superset of the published state.
+    fn commit(&mut self, mgr: &mut TxnManager, tx: &mut Transaction) -> Result<u64> {
+        let mut publisher = NvPublisher {
+            heap: self.heap.clone(),
+            catalog: self.catalog,
+            shadow: self.shadow.as_mut(),
+        };
+        let mut refs: Vec<&mut dyn TableStore> = self
+            .tables
+            .iter_mut()
+            .map(|t| t as &mut dyn TableStore)
+            .collect();
+        let cts = mgr.commit(tx, &mut refs, &mut publisher)?;
+        self.registry.release(tx.tid)?;
+        Ok(cts)
+    }
+
+    /// Succeeds even while the shadow log is wedged: an absent abort
+    /// record replays exactly like a missing commit, so nothing is lost by
+    /// skipping the append.
+    fn abort(&mut self, mgr: &mut TxnManager, tx: &mut Transaction) -> Result<()> {
+        let mut refs: Vec<&mut dyn TableStore> = self
+            .tables
+            .iter_mut()
+            .map(|t| t as &mut dyn TableStore)
+            .collect();
+        mgr.abort(tx, &mut refs)?;
+        self.registry.release(tx.tid)?;
+        if let Some(sw) = &mut self.shadow {
+            match sw.log_abort(tx.tid) {
+                Err(EngineError::Wal(e)) if e.is_full() => {}
+                other => other?,
+            }
+        }
+        Ok(())
+    }
+
+    fn restart(&mut self, policy: CrashPolicy, report: &mut RecoveryReport) -> Result<()> {
+        // Drop the shadow writer first: its buffered records reach the log
+        // file on drop, and the file — unlike NVM cache lines — survives
+        // the simulated power loss.
+        self.shadow = None;
+        let region = self.region().clone();
+        region.crash(policy);
+        *self = NvBackend::recover(region, self.shadow_cfg.clone(), report)?;
+        Ok(())
+    }
+
+    /// The heap walk (no block stuck mid-protocol) and index↔table
+    /// agreement.
+    fn check_integrity(&self, rep: &mut IntegrityReport) -> Result<()> {
+        for blk in self.heap.walk()? {
+            rep.heap_blocks += 1;
+            match blk.state {
+                nvm::AllocState::Allocated | nvm::AllocState::Free => {}
+                _ => rep.heap_limbo_blocks += 1,
+            }
+        }
+        for (t, set) in self.tables.iter().zip(&self.indexes) {
+            for idx in &set.hash {
+                rep.index.absorb(&idx.verify_against(t)?);
+            }
+            for idx in &set.ordered {
+                rep.index.absorb(&idx.verify_against(t)?);
+            }
+        }
+        Ok(())
+    }
+
+    fn simulated_ns(&self) -> u64 {
+        self.region().clock().now_ns()
+    }
+
+    fn wal_stats(&self) -> wal::WalStats {
+        self.shadow
+            .as_ref()
+            .map(|sw| sw.stats())
+            .unwrap_or_default()
+    }
+
+    fn as_nv(&self) -> Option<&NvBackend> {
+        Some(self)
+    }
+
+    fn as_nv_mut(&mut self) -> Option<&mut NvBackend> {
+        Some(self)
+    }
 }
 
-/// Durably bump the catalogue's recovery-progress word and return the new
-/// attempt number (1 = first attempt since the last clean shutdown or
-/// completed recovery; >1 = this recovery is itself re-entrant, an earlier
-/// attempt was cut short).
-///
-/// This is the one deliberately *non-idempotent* recovery-time store: a
-/// monotone counter, bumped before recovery mutates anything else and
-/// zeroed by [`NvBackend::finish_recovery_attempt`] only after the ladder,
-/// undo pass, and shadow re-baseline have all completed. Every other
-/// recovery mutation is idempotent by re-derivation, so replaying a
-/// partial attempt is safe — the counter exists to make interrupted
-/// attempts *observable* (and bounded) rather than to gate replay.
-///
-/// Runs before the backend is attached, straight off the heap root; if no
-/// catalogue root is published yet the attach will fail anyway, so the
-/// attempt is reported as 0 and nothing is written.
 /// Read the clean-shutdown marker and, if set, durably clear it before
 /// returning — the marker must never survive into the run it admits, or a
 /// later hard crash would masquerade as clean. Returns whether the previous
@@ -762,6 +947,22 @@ pub(crate) fn take_clean_shutdown(heap: &NvmHeap) -> Result<bool> {
     Ok(clean != 0)
 }
 
+/// Durably bump the catalogue's recovery-progress word and return the new
+/// attempt number (1 = first attempt since the last clean shutdown or
+/// completed recovery; >1 = this recovery is itself re-entrant, an earlier
+/// attempt was cut short).
+///
+/// This is the one deliberately *non-idempotent* recovery-time store: a
+/// monotone counter, bumped before recovery mutates anything else and
+/// zeroed by [`NvBackend::finish_recovery_attempt`] only after the ladder,
+/// undo pass, and shadow re-baseline have all completed. Every other
+/// recovery mutation is idempotent by re-derivation, so replaying a
+/// partial attempt is safe — the counter exists to make interrupted
+/// attempts *observable* (and bounded) rather than to gate replay.
+///
+/// Runs before the backend is attached, straight off the heap root; if no
+/// catalogue root is published yet the attach will fail anyway, so the
+/// attempt is reported as 0 and nothing is written.
 pub(crate) fn begin_recovery_attempt(heap: &NvmHeap) -> Result<u64> {
     let catalog = heap.root()?;
     if catalog == 0 {
@@ -777,35 +978,17 @@ pub(crate) fn begin_recovery_attempt(heap: &NvmHeap) -> Result<u64> {
     Ok(attempt)
 }
 
-/// Durable commit publish for the NVM backend: one 8-byte persist of the
-/// global commit timestamp in the catalogue.
-pub struct NvPublisher {
-    heap: NvmHeap,
-    catalog: u64,
-}
-
-impl txn::CommitPublish for NvPublisher {
-    fn publish(&mut self, cts: u64, _txn: &txn::Transaction) -> txn::Result<()> {
-        let r = self.heap.region();
-        // pmlint: publish(catalog-cts)
-        r.store_u64_release(self.catalog + CAT_LAST_CTS, cts)
-            .map_err(|e| txn::TxnError::Publish(e.to_string()))?;
-        r.persist(self.catalog + CAT_LAST_CTS, 8)
-            .map_err(|e| txn::TxnError::Publish(e.to_string()))?;
-        Ok(())
-    }
-}
-
-/// Commit publish used by [`NvBackend::commit_txn`]: shadow-log sync first
-/// (when configured), then the one-persist NVM publish. The order is the
-/// rung-2 invariant — a commit the NVM image claims must be in the log.
-struct ShadowedNvPublisher<'a> {
+/// Durable commit publish for the NVM backend: shadow-log sync first (when
+/// configured), then one 8-byte persist of the global commit timestamp in
+/// the catalogue. The order is the rung-2 invariant — a commit the NVM
+/// image claims must be in the log.
+struct NvPublisher<'a> {
     heap: NvmHeap,
     catalog: u64,
     shadow: Option<&'a mut ShadowWal>,
 }
 
-impl txn::CommitPublish for ShadowedNvPublisher<'_> {
+impl txn::CommitPublish for NvPublisher<'_> {
     fn publish(&mut self, cts: u64, txn: &txn::Transaction) -> txn::Result<()> {
         if let Some(sw) = self.shadow.as_deref_mut() {
             sw.log_commit_synced(txn.tid, cts)

@@ -148,6 +148,15 @@ impl DurabilityConfig {
         }
     }
 
+    /// The shadow log an NVM config carries, if any.
+    pub(crate) fn shadow_wal(&self) -> Option<&WalConfig> {
+        match self {
+            DurabilityConfig::NvmWithWal { wal, .. } => Some(wal),
+            DurabilityConfig::NvmFile { wal, .. } => wal.as_ref(),
+            _ => None,
+        }
+    }
+
     /// Short name used in reports.
     pub fn mode_name(&self) -> &'static str {
         match self {

@@ -1,30 +1,35 @@
-//! The `Database` façade.
+//! The `Database` façade: every public operation, implemented once over
+//! the [`Store`] seam.
 
-use index::{NvHashIndex, NvOrderedIndex};
-use nvm::{CrashPoint, CrashPolicy, NvmHeap};
-use storage::mvcc;
-use storage::nv::MediaExtent;
-use storage::{RowId, ScanResult, Schema, TableStore, Value};
+use std::sync::Arc;
+
+use nvm::{CrashPoint, CrashPolicy};
+use storage::{mvcc, MergeStats, RowId, ScanResult, Schema, TableStore, Value};
 use txn::{Transaction, TxnManager};
-use wal::LogWriter;
 
-use crate::backend_nv::{NvBackend, NvTableIndexes, KIND_HASH, KIND_ORDERED};
+use crate::backend_nv::NvBackend;
 use crate::backend_vol::VolatileBackend;
 use crate::backend_wal::WalBackend;
-use crate::config::{DurabilityConfig, IndexKind, WalConfig};
+use crate::config::{DurabilityConfig, IndexKind};
 use crate::error::{EngineError, Result};
 use crate::health::{HealthReport, HealthState, HealthTracker, ReclaimReport, Watermarks};
-use crate::report::{timed_phase, IntegrityReport, PersistStats, RecoveryReport};
-use crate::shadow_wal::ShadowWal;
+use crate::recovery::MAX_TRANSIENT_RETRIES;
+use crate::report::{IntegrityReport, RecoveryReport};
+use crate::store::{Probe, Store};
+use crate::{MAX_INDEXES_PER_TABLE, MAX_TABLES};
 
 /// Handle to a table in the catalogue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TableId(pub usize);
 
-enum Backend {
-    Nv(NvBackend),
-    Wal(WalBackend),
-    Volatile(VolatileBackend),
+/// Which health gate a mutating operation passes before it runs.
+enum Admit {
+    /// Row writes: rejected under backpressure and while read-only.
+    Write,
+    /// DDL: rejected while read-only.
+    Ddl,
+    /// Commits and merges: admitted in every health state.
+    Always,
 }
 
 /// An embedded database instance over one durability backend.
@@ -33,7 +38,7 @@ enum Backend {
 /// per-table delta append model); benchmark drivers issue transactions
 /// back-to-back.
 pub struct Database {
-    backend: Backend,
+    store: Box<dyn Store>,
     mgr: TxnManager,
     config: DurabilityConfig,
     health: HealthTracker,
@@ -47,48 +52,32 @@ impl Database {
     }
 
     /// Create a fresh database with explicit degradation watermarks (see
-    /// [`Watermarks`] for the state machine they steer).
+    /// [`Watermarks`] for the state machine they steer). A file-backed
+    /// config formats a fresh image on the file (truncating any previous
+    /// database there); use [`Database::open`] to attach one.
     pub fn create_with_watermarks(config: DurabilityConfig, marks: Watermarks) -> Result<Database> {
-        let backend = match &config {
-            DurabilityConfig::Nvm { capacity, latency } => {
-                Backend::Nv(NvBackend::create(*capacity, *latency)?)
-            }
-            DurabilityConfig::NvmWithWal {
-                capacity,
-                latency,
-                wal,
-            } => {
-                let mut b = NvBackend::create(*capacity, *latency)?;
-                let mut sw = ShadowWal::create(wal.clone(), b.region().clone())?;
-                sw.checkpoint_full(&b.names, &b.tables, 0)?;
-                b.shadow = Some(sw);
-                Backend::Nv(b)
-            }
+        let store: Box<dyn Store> = match &config {
+            DurabilityConfig::Nvm { capacity, latency }
+            | DurabilityConfig::NvmWithWal {
+                capacity, latency, ..
+            } => Box::new(NvBackend::create(
+                Arc::new(nvm::NvmRegion::new(*capacity, *latency)),
+                config.shadow_wal().cloned(),
+            )?),
             DurabilityConfig::NvmFile {
                 path,
                 capacity,
                 latency,
-                wal,
-            } => {
-                // Format a fresh image on the file (truncating any previous
-                // database there); use [`Database::open`] to attach one.
-                let region = std::sync::Arc::new(
-                    nvm::NvmRegion::open_file(path, *capacity, *latency)
-                        .map_err(EngineError::Nvm)?,
-                );
-                let mut b = NvBackend::create_on_region(region)?;
-                if let Some(wal_cfg) = wal {
-                    let mut sw = ShadowWal::create(wal_cfg.clone(), b.region().clone())?;
-                    sw.checkpoint_full(&b.names, &b.tables, 0)?;
-                    b.shadow = Some(sw);
-                }
-                Backend::Nv(b)
-            }
-            DurabilityConfig::Wal(cfg) => Backend::Wal(WalBackend::create(cfg.clone())?),
-            DurabilityConfig::Volatile => Backend::Volatile(VolatileBackend::create()),
+                ..
+            } => Box::new(NvBackend::create(
+                Arc::new(nvm::NvmRegion::open_file(path, *capacity, *latency)?),
+                config.shadow_wal().cloned(),
+            )?),
+            DurabilityConfig::Wal(cfg) => Box::new(WalBackend::create(cfg.clone())?),
+            DurabilityConfig::Volatile => Box::new(VolatileBackend::default()),
         };
         Ok(Database {
-            backend,
+            store,
             mgr: TxnManager::new(),
             config,
             health: HealthTracker::new(marks),
@@ -102,23 +91,20 @@ impl Database {
     /// Currently meaningful for [`DurabilityConfig::NvmFile`], whose image
     /// survives actual process death.
     pub fn open(config: DurabilityConfig) -> Result<(Database, RecoveryReport)> {
-        let region = match &config {
-            DurabilityConfig::NvmFile {
-                path,
-                capacity,
-                latency,
-                ..
-            } => std::sync::Arc::new(
-                nvm::NvmRegion::open_file(path, *capacity, *latency).map_err(EngineError::Nvm)?,
-            ),
-            _ => {
-                return Err(EngineError::Catalog(
-                    "Database::open requires a file-backed durability config \
-                     (DurabilityConfig::NvmFile)"
-                        .into(),
-                ))
-            }
+        let DurabilityConfig::NvmFile {
+            path,
+            capacity,
+            latency,
+            ..
+        } = &config
+        else {
+            return Err(EngineError::Catalog(
+                "Database::open requires a file-backed durability config \
+                 (DurabilityConfig::NvmFile)"
+                    .into(),
+            ));
         };
+        let region = Arc::new(nvm::NvmRegion::open_file(path, *capacity, *latency)?);
         Self::open_region(region, config)
     }
 
@@ -127,26 +113,21 @@ impl Database {
     /// harness uses this to pre-arm kill points on the region before
     /// recovery runs over it.
     pub fn open_region(
-        region: std::sync::Arc<nvm::NvmRegion>,
+        region: Arc<nvm::NvmRegion>,
         config: DurabilityConfig,
     ) -> Result<(Database, RecoveryReport)> {
         let mut report = RecoveryReport {
             mode: config.mode_name(),
             ..Default::default()
         };
+        let store = NvBackend::recover(region, config.shadow_wal().cloned(), &mut report)?;
         let mut db = Database {
-            backend: Backend::Volatile(VolatileBackend::create()),
+            store: Box::new(store),
             mgr: TxnManager::new(),
             config,
             health: HealthTracker::new(Watermarks::default()),
         };
-        db.recover_nv(region, &mut report)?;
-        db.health.reset();
-        report.health = db.refresh_health();
-        report.utilization = match &db.backend {
-            Backend::Nv(b) => b.heap().stats().utilization(),
-            _ => 0.0,
-        };
+        let report = db.recovered(report);
         Ok((db, report))
     }
 
@@ -154,64 +135,76 @@ impl Database {
     /// clean-shutdown marker, and sync the whole mapping. The next
     /// [`Database::open`] of the image reports `clean_shutdown` and skips
     /// the mvcc undo pass. A no-op for non-NVM backends.
-    pub fn shutdown(self) -> Result<()> {
-        match self.backend {
-            Backend::Nv(mut b) => {
-                // Drop the shadow writer first: its buffered records reach
-                // the log file on drop, keeping the log a superset of the
-                // published NVM state even across the shutdown.
-                b.shadow = None;
-                b.mark_clean_shutdown()?;
-                let region = b.region().clone();
-                drop(b);
-                region.sync_all().map_err(EngineError::Nvm)?;
-                if let Some(e) = region.take_sync_error() {
-                    return Err(EngineError::Nvm(e));
-                }
-                Ok(())
-            }
-            _ => Ok(()),
+    pub fn shutdown(mut self) -> Result<()> {
+        let Ok(b) = self.nv_mut() else {
+            return Ok(());
+        };
+        let region = b.shutdown()?;
+        drop(self);
+        region.sync_all()?;
+        match region.take_sync_error() {
+            Some(e) => Err(EngineError::Nvm(e)),
+            None => Ok(()),
         }
+    }
+
+    /// The NVM backend, or [`EngineError::Unsupported`] on the others —
+    /// the one gate of all NVM-only instrumentation.
+    fn nv(&self) -> Result<&NvBackend> {
+        self.store
+            .as_nv()
+            .ok_or(EngineError::Unsupported("requires the NVM backend"))
+    }
+
+    /// Mutable [`Database::nv`].
+    fn nv_mut(&mut self) -> Result<&mut NvBackend> {
+        self.store
+            .as_nv_mut()
+            .ok_or(EngineError::Unsupported("requires the NVM backend"))
     }
 
     // ------------------------------------------------------------------
     // Health + admission control
     // ------------------------------------------------------------------
 
-    /// `(high_water, capacity, free_bytes)` of the heap — zeroes off the
-    /// NVM backend.
-    fn heap_numbers(&self) -> (u64, u64, u64) {
-        match &self.backend {
-            Backend::Nv(b) => {
-                let s = b.heap().stats();
-                (s.high_water, s.capacity, s.free_bytes)
-            }
-            _ => (0, 0, 0),
-        }
+    /// Heap utilization (0.0 off the NVM backend).
+    fn utilization(&self) -> f64 {
+        self.nv().map_or(0.0, |b| b.heap().stats().utilization())
     }
 
     /// Feed the state machine a fresh heap observation (utilization plus
     /// shadow-log wedge state) and return the resulting state.
     fn refresh_health(&mut self) -> HealthState {
-        let (wedged, utilization) = match &self.backend {
-            Backend::Nv(b) => (
-                b.shadow.as_ref().is_some_and(|sw| sw.is_wedged()),
-                b.heap().stats().utilization(),
-            ),
-            _ => (false, 0.0),
-        };
+        let (utilization, wedged) = self.nv().map_or((0.0, false), |b| b.pressure());
         self.health.set_wal_wedged(wedged);
         self.health.observe(utilization)
     }
 
-    fn admit_write(&mut self) -> Result<()> {
-        self.refresh_health();
-        self.health.admit_write()
-    }
-
-    fn admit_ddl(&mut self) -> Result<()> {
-        self.refresh_health();
-        self.health.admit_ddl()
+    /// The wrapper every mutating operation runs in: check the table, pass
+    /// the health gate, run `op`, and hand its result to the error
+    /// epilogue.
+    fn mutate<T>(
+        &mut self,
+        table: Option<TableId>,
+        admit: Admit,
+        op: impl FnOnce(&mut dyn Store, &mut TxnManager) -> Result<T>,
+    ) -> Result<T> {
+        if let Some(table) = table {
+            self.check_table(table)?;
+        }
+        match admit {
+            Admit::Write => {
+                self.refresh_health();
+                self.health.admit_write()?;
+            }
+            Admit::Ddl => {
+                self.refresh_health();
+                self.health.admit_ddl()?;
+            }
+            Admit::Always => {}
+        }
+        let res = op(self.store.as_mut(), &mut self.mgr);
+        self.after_write(res)
     }
 
     /// Error-path epilogue for every mutating operation: normalize
@@ -223,7 +216,7 @@ impl Database {
             let e = e.normalize_capacity();
             if e.is_capacity() {
                 self.health.note_capacity_abort();
-                if let Backend::Nv(b) = &self.backend {
+                if let Ok(b) = self.nv() {
                     let _ = b.heap().reclaim_reserved();
                 }
                 self.refresh_health();
@@ -236,7 +229,10 @@ impl Database {
     /// heap first, so the report never lags the allocator.
     pub fn health(&mut self) -> HealthReport {
         self.refresh_health();
-        let (high_water, capacity, free_bytes) = self.heap_numbers();
+        let (high_water, capacity, free_bytes) = self.nv().map_or((0, 0, 0), |b| {
+            let s = b.heap().stats();
+            (s.high_water, s.capacity, s.free_bytes)
+        });
         self.health.report(high_water, capacity, free_bytes)
     }
 
@@ -247,54 +243,16 @@ impl Database {
     /// the path *out* of `ReadOnly`.
     pub fn reclaim(&mut self) -> Result<ReclaimReport> {
         let mut rep = ReclaimReport {
-            utilization_before: match &self.backend {
-                Backend::Nv(b) => b.heap().stats().utilization(),
-                _ => 0.0,
-            },
+            utilization_before: self.utilization(),
             ..Default::default()
         };
-        if let Backend::Nv(b) = &mut self.backend {
-            // A wedged log blocks merges (they append merge records), so it
-            // is recreated first. The fresh log starts empty; the immediate
-            // full-state checkpoint restores the `log ⊇ published state`
-            // invariant rung 2 depends on.
-            if b.shadow.as_ref().is_some_and(|sw| sw.is_wedged()) {
-                let cfg = b.shadow.as_ref().map(|sw| sw.cfg.clone());
-                if let Some(cfg) = cfg {
-                    let mut sw = ShadowWal::create(cfg, b.region().clone())?;
-                    sw.checkpoint_full(&b.names, &b.tables, self.mgr.last_committed())?;
-                    b.shadow = Some(sw);
-                    rep.wal_recreated = true;
-                }
-            }
-            let snapshot = self.mgr.last_committed();
-            for t in 0..b.tables.len() {
-                match b.merge_table(t, snapshot) {
-                    Ok(_) => rep.tables_merged += 1,
-                    Err(e) => {
-                        // A merge needs headroom for the new main; at the
-                        // brim it can itself exhaust capacity. Skip the
-                        // table (its old image is untouched) and keep
-                        // reclaiming elsewhere.
-                        let e = e.normalize_capacity();
-                        if e.is_capacity() {
-                            rep.merges_failed += 1;
-                        } else {
-                            return Err(e);
-                        }
-                    }
-                }
-            }
-            let (blocks, bytes) = b.heap().reclaim_reserved()?;
-            rep.reserved_blocks_freed = blocks;
-            rep.reserved_bytes_freed = bytes;
+        let snapshot = self.mgr.last_committed();
+        if let Ok(b) = self.nv_mut() {
+            b.reclaim(snapshot, &mut rep)?;
         }
         self.health.note_reclaim();
         rep.state_after = self.refresh_health();
-        rep.utilization_after = match &self.backend {
-            Backend::Nv(b) => b.heap().stats().utilization(),
-            _ => 0.0,
-        };
+        rep.utilization_after = self.utilization();
         Ok(rep)
     }
 
@@ -305,74 +263,38 @@ impl Database {
     /// Arm an out-of-space fault on the shadow log (NVM-with-WAL backend
     /// only).
     pub fn arm_wal_fault(&mut self, spec: wal::WalFaultSpec) -> Result<()> {
-        match &mut self.backend {
-            Backend::Nv(b) => match &mut b.shadow {
-                Some(sw) => {
-                    sw.arm_fault(spec);
-                    Ok(())
-                }
-                None => Err(EngineError::Unsupported(
-                    "wal fault injection requires a shadow wal",
-                )),
-            },
-            _ => Err(EngineError::Unsupported(
-                "wal fault injection requires the NVM backend",
-            )),
-        }
+        self.nv_mut()?.arm_wal_fault(spec)
     }
 
     /// True while the shadow-WAL writer is wedged by an out-of-space
     /// failure (forces read-only mode until [`Database::reclaim`]).
     pub fn wal_wedged(&self) -> bool {
-        match &self.backend {
-            Backend::Nv(b) => b.shadow.as_ref().is_some_and(|sw| sw.is_wedged()),
-            _ => false,
-        }
+        self.nv().is_ok_and(|b| b.wal_wedged())
     }
 
     /// Arm an allocation fault on the NVM region (deterministic nth-attempt
     /// or probabilistic).
     pub fn arm_alloc_fault(&self, spec: nvm::AllocFaultSpec) -> Result<()> {
-        match &self.backend {
-            Backend::Nv(b) => {
-                b.region().arm_alloc_fault(&spec);
-                Ok(())
-            }
-            _ => Err(EngineError::Unsupported(
-                "allocation faults require the NVM backend",
-            )),
-        }
+        self.nv()?.region().arm_alloc_fault(&spec);
+        Ok(())
     }
 
     /// Clamp the heap's effective capacity to model a smaller device
     /// (`None` lifts the clamp).
     pub fn set_capacity_clamp(&self, clamp: Option<u64>) -> Result<()> {
-        match &self.backend {
-            Backend::Nv(b) => {
-                b.region().set_capacity_clamp(clamp);
-                Ok(())
-            }
-            _ => Err(EngineError::Unsupported(
-                "capacity clamps require the NVM backend",
-            )),
-        }
+        self.nv()?.region().set_capacity_clamp(clamp);
+        Ok(())
     }
 
     /// Allocation attempts the region has observed — the sweep space of the
     /// nth-allocation fault harness. Zero off the NVM backend.
     pub fn alloc_attempts(&self) -> u64 {
-        match &self.backend {
-            Backend::Nv(b) => b.region().alloc_attempts(),
-            _ => 0,
-        }
+        self.nv().map_or(0, |b| b.region().alloc_attempts())
     }
 
     /// Volatile heap statistics (NVM backend only).
     pub fn heap_stats(&self) -> Option<nvm::HeapStats> {
-        match &self.backend {
-            Backend::Nv(b) => Some(b.heap().stats()),
-            _ => None,
-        }
+        self.nv().ok().map(|b| b.heap().stats())
     }
 
     /// The active durability mode ("nvm" / "wal" / "volatile").
@@ -382,38 +304,24 @@ impl Database {
 
     /// Simulated nanoseconds charged so far (NVM flush/fence or WAL sync).
     pub fn simulated_ns(&self) -> u64 {
-        match &self.backend {
-            Backend::Nv(b) => b.region().clock().now_ns(),
-            Backend::Wal(b) => b.clock().now_ns(),
-            Backend::Volatile(_) => 0,
-        }
+        self.store.simulated_ns()
     }
 
     /// NVM primitive counters (zeroes for other backends).
     pub fn nvm_stats(&self) -> nvm::StatsSnapshot {
-        match &self.backend {
-            Backend::Nv(b) => b.region().stats(),
-            _ => nvm::StatsSnapshot::default(),
-        }
+        self.nv().map(|b| b.region().stats()).unwrap_or_default()
     }
 
     /// WAL activity counters: the baseline's log on the WAL backend, the
     /// shadow log on the NVM backend when one is configured, zeroes
     /// otherwise.
     pub fn wal_stats(&self) -> wal::WalStats {
-        match &self.backend {
-            Backend::Wal(b) => b.wal_stats(),
-            Backend::Nv(b) => b.shadow.as_ref().map(|sw| sw.stats()).unwrap_or_default(),
-            Backend::Volatile(_) => wal::WalStats::default(),
-        }
+        self.store.wal_stats()
     }
 
     /// The NVM backend, if active (advanced instrumentation).
     pub fn nv_backend(&self) -> Option<&NvBackend> {
-        match &self.backend {
-            Backend::Nv(b) => Some(b),
-            _ => None,
-        }
+        self.nv().ok()
     }
 
     /// The transaction manager's committed-state watermark.
@@ -425,78 +333,69 @@ impl Database {
     // DDL
     // ------------------------------------------------------------------
 
-    /// Create a table. Rejected while the engine is read-only.
+    /// Create a table. Rejected while the engine is read-only, and with
+    /// [`EngineError::Catalog`] for a duplicate name or past
+    /// [`MAX_TABLES`](crate::MAX_TABLES) tables.
     pub fn create_table(&mut self, name: &str, schema: Schema) -> Result<TableId> {
-        self.admit_ddl()?;
-        let res = match &mut self.backend {
-            Backend::Nv(b) => b.create_table(name, schema),
-            Backend::Wal(b) => {
-                let cts = self.mgr.last_committed();
-                b.create_table(name, schema, cts)
-            }
-            Backend::Volatile(b) => b.create_table(name, schema),
-        };
-        self.after_write(res).map(TableId)
+        let names = self.store.names();
+        if names.len() >= MAX_TABLES {
+            return Err(EngineError::Catalog(format!(
+                "table limit {MAX_TABLES} reached"
+            )));
+        }
+        if names.iter().any(|n| n == name) {
+            return Err(EngineError::Catalog(format!(
+                "duplicate table name {name:?}"
+            )));
+        }
+        let last_cts = self.mgr.last_committed();
+        self.mutate(None, Admit::Ddl, |store, _| {
+            store.create_table(name, schema, last_cts)
+        })
+        .map(TableId)
     }
 
     /// Look up a table by name.
     pub fn table_id(&self, name: &str) -> Option<TableId> {
-        let names = match &self.backend {
-            Backend::Nv(b) => &b.names,
-            Backend::Wal(b) => &b.names,
-            Backend::Volatile(b) => &b.names,
-        };
-        names.iter().position(|n| n == name).map(TableId)
+        self.store
+            .names()
+            .iter()
+            .position(|n| n == name)
+            .map(TableId)
     }
 
     /// Number of tables.
     pub fn table_count(&self) -> usize {
-        match &self.backend {
-            Backend::Nv(b) => b.tables.len(),
-            Backend::Wal(b) => b.tables.len(),
-            Backend::Volatile(b) => b.tables.len(),
-        }
+        self.store.names().len()
     }
 
     /// Create an index over `(table, column)`. Rejected while the engine
-    /// is read-only.
+    /// is read-only, and with [`EngineError::Catalog`] for a column the
+    /// table does not have or past
+    /// [`MAX_INDEXES_PER_TABLE`](crate::MAX_INDEXES_PER_TABLE) indexes.
     pub fn create_index(&mut self, table: TableId, column: usize, kind: IndexKind) -> Result<()> {
-        self.check_table(table)?;
-        self.admit_ddl()?;
-        let res = match &mut self.backend {
-            Backend::Nv(b) => match kind {
-                IndexKind::Hash => b.create_hash_index(table.0, column),
-                IndexKind::Ordered => b.create_ordered_index(table.0, column),
-            },
-            Backend::Wal(b) => b.create_index(table.0, column, kind),
-            Backend::Volatile(b) => b.create_index(table.0, column, kind),
-        };
-        self.after_write(res)
-    }
-
-    fn check_table(&self, table: TableId) -> Result<()> {
-        if table.0 < self.table_count() {
-            Ok(())
-        } else {
-            Err(EngineError::Catalog(format!(
-                "unknown table id {}",
+        let columns = self.check_table(table)?.schema().len();
+        if column >= columns {
+            return Err(EngineError::Catalog(format!(
+                "column {column} out of range: table {} has {columns} columns",
                 table.0
-            )))
+            )));
         }
-    }
-
-    /// Crate-internal access to a table's store (query operators).
-    pub(crate) fn table_store(&self, table: TableId) -> Result<&dyn TableStore> {
-        self.table(table)
-    }
-
-    fn table(&self, table: TableId) -> Result<&dyn TableStore> {
-        self.check_table(table)?;
-        Ok(match &self.backend {
-            Backend::Nv(b) => &b.tables[table.0],
-            Backend::Wal(b) => &b.tables[table.0],
-            Backend::Volatile(b) => &b.tables[table.0],
+        if self.store.index_count(table.0) >= MAX_INDEXES_PER_TABLE {
+            return Err(EngineError::Catalog(format!(
+                "index limit {MAX_INDEXES_PER_TABLE} reached on table {}",
+                table.0
+            )));
+        }
+        self.mutate(None, Admit::Ddl, |store, _| {
+            store.create_index(table.0, column, kind)
         })
+    }
+
+    /// The table behind `table`, or the typed unknown-table error (also
+    /// the query operators' access to a table).
+    pub(crate) fn check_table(&self, table: TableId) -> Result<&dyn TableStore> {
+        self.store.table(table.0)
     }
 
     // ------------------------------------------------------------------
@@ -518,57 +417,10 @@ impl Database {
         table: TableId,
         values: &[Value],
     ) -> Result<RowId> {
-        self.check_table(table)?;
-        self.admit_write()?;
-        let res = self.insert_unguarded(tx, table, values);
-        self.after_write(res)
-    }
-
-    fn insert_unguarded(
-        &mut self,
-        tx: &mut Transaction,
-        table: TableId,
-        values: &[Value],
-    ) -> Result<RowId> {
-        let t = table.0;
-        let marker = tx.marker();
-        let row = match &mut self.backend {
-            Backend::Nv(b) => {
-                // Write-ahead registry entry: the row id an insert will get
-                // is deterministic (next physical slot), so recovery can be
-                // told about it before the row materializes.
-                let row = b.tables[t].row_count();
-                b.registry.record_insert(tx.tid, t, row)?;
-                let got = b.tables[t].insert_version(values, marker)?;
-                debug_assert_eq!(got, row);
-                // The version exists but the transaction has not recorded
-                // it yet: a failure in the index or log step must tombstone
-                // it here, or nothing ever would.
-                let tail = b.index_insert(t, values, got).and_then(|()| {
-                    if let Some(sw) = &mut b.shadow {
-                        sw.log_insert(tx.tid, t, got, values)?;
-                    }
-                    Ok(())
-                });
-                if let Err(e) = tail {
-                    let _ = b.tables[t].abort_insert(got);
-                    return Err(e);
-                }
-                got
-            }
-            Backend::Wal(b) => {
-                let row = b.tables[t].insert_version(values, marker)?;
-                b.log_insert(tx.tid, t, row, values)?;
-                b.index_insert(t, values, row);
-                row
-            }
-            Backend::Volatile(b) => {
-                let row = b.tables[t].insert_version(values, marker)?;
-                b.index_insert(t, values, row);
-                row
-            }
-        };
-        tx.record_insert(t, row);
+        let row = self.mutate(Some(table), Admit::Write, |store, _| {
+            store.insert(tx, table.0, values)
+        })?;
+        tx.record_insert(table.0, row);
         Ok(row)
     }
 
@@ -576,35 +428,10 @@ impl Database {
     /// conflict if another transaction holds the row, and with a retryable
     /// typed error while the engine is degraded.
     pub fn delete(&mut self, tx: &mut Transaction, table: TableId, row: RowId) -> Result<()> {
-        self.check_table(table)?;
-        self.admit_write()?;
-        let res = self.delete_unguarded(tx, table, row);
-        self.after_write(res)
-    }
-
-    fn delete_unguarded(&mut self, tx: &mut Transaction, table: TableId, row: RowId) -> Result<()> {
-        let t = table.0;
-        let marker = tx.marker();
-        match &mut self.backend {
-            Backend::Nv(b) => {
-                b.registry.record_invalidate(tx.tid, t, row)?;
-                b.tables[t].try_invalidate(row, marker)?;
-                if let Some(sw) = &mut b.shadow {
-                    // The end marker is already placed but the transaction
-                    // has not recorded it: restore it on a failed append.
-                    if let Err(e) = sw.log_invalidate(tx.tid, t, row) {
-                        let _ = b.tables[t].restore_end(row);
-                        return Err(e);
-                    }
-                }
-            }
-            Backend::Wal(b) => {
-                b.tables[t].try_invalidate(row, marker)?;
-                b.log_invalidate(tx.tid, t, row)?;
-            }
-            Backend::Volatile(b) => b.tables[t].try_invalidate(row, marker)?,
-        }
-        tx.record_invalidate(t, row);
+        self.mutate(Some(table), Admit::Write, |store, _| {
+            store.invalidate(tx, table.0, row)
+        })?;
+        tx.record_invalidate(table.0, row);
         Ok(())
     }
 
@@ -631,41 +458,7 @@ impl Database {
     /// active: [`Database::abort`] then rolls the stamped markers back to a
     /// clean image.
     pub fn commit(&mut self, tx: &mut Transaction) -> Result<u64> {
-        let res = self.commit_unguarded(tx);
-        self.after_write(res)
-    }
-
-    fn commit_unguarded(&mut self, tx: &mut Transaction) -> Result<u64> {
-        match &mut self.backend {
-            Backend::Nv(b) => b.commit_txn(&mut self.mgr, tx),
-            Backend::Wal(b) => {
-                let WalBackend {
-                    tables,
-                    writer,
-                    commits_since_sync,
-                    cfg,
-                    ..
-                } = b;
-                let mut publisher = WalPublisher {
-                    writer,
-                    commits_since_sync,
-                    every: cfg.sync_every_n_commits.max(1),
-                };
-                let mut refs: Vec<&mut dyn TableStore> = tables
-                    .iter_mut()
-                    .map(|t| t as &mut dyn TableStore)
-                    .collect();
-                Ok(self.mgr.commit(tx, &mut refs, &mut publisher)?)
-            }
-            Backend::Volatile(b) => {
-                let mut refs: Vec<&mut dyn TableStore> = b
-                    .tables
-                    .iter_mut()
-                    .map(|t| t as &mut dyn TableStore)
-                    .collect();
-                Ok(self.mgr.commit(tx, &mut refs, &mut txn::NoopPublish)?)
-            }
-        }
+        self.mutate(None, Admit::Always, |store, mgr| store.commit(mgr, tx))
     }
 
     /// Abort: roll back every pending marker. Also the unwind path after a
@@ -674,68 +467,56 @@ impl Database {
     /// the shadow log is wedged: an absent abort record replays exactly
     /// like a missing commit, so nothing is lost by skipping the append.
     pub fn abort(&mut self, tx: &mut Transaction) -> Result<()> {
-        match &mut self.backend {
-            Backend::Nv(b) => {
-                {
-                    let mut refs: Vec<&mut dyn TableStore> = b
-                        .tables
-                        .iter_mut()
-                        .map(|t| t as &mut dyn TableStore)
-                        .collect();
-                    self.mgr.abort(tx, &mut refs)?;
-                }
-                b.registry.release(tx.tid)?;
-                if let Some(sw) = &mut b.shadow {
-                    match sw.log_abort(tx.tid) {
-                        Err(EngineError::Wal(e)) if e.is_full() => {}
-                        other => other?,
-                    }
-                }
-            }
-            Backend::Wal(b) => {
-                {
-                    let mut refs: Vec<&mut dyn TableStore> = b
-                        .tables
-                        .iter_mut()
-                        .map(|t| t as &mut dyn TableStore)
-                        .collect();
-                    self.mgr.abort(tx, &mut refs)?;
-                }
-                b.log_abort(tx.tid)?;
-            }
-            Backend::Volatile(b) => {
-                let mut refs: Vec<&mut dyn TableStore> = b
-                    .tables
-                    .iter_mut()
-                    .map(|t| t as &mut dyn TableStore)
-                    .collect();
-                self.mgr.abort(tx, &mut refs)?;
-            }
-        }
-        Ok(())
+        self.store.abort(&mut self.mgr, tx)
     }
 
     // ------------------------------------------------------------------
     // Reads
     // ------------------------------------------------------------------
 
-    fn materialize(&self, table: TableId, rows: Vec<RowId>) -> Result<Vec<ScanResult>> {
-        let t = self.table(table)?;
+    fn materialize(store: &dyn TableStore, rows: Vec<RowId>) -> Result<Vec<ScanResult>> {
         rows.into_iter()
             .map(|row| {
                 Ok(ScanResult {
                     row,
-                    values: t.row_values(row)?,
+                    values: store.row_values(row)?,
                 })
             })
             .collect()
     }
 
+    /// The candidates that are visible to `tx` (and, with `key`, whose
+    /// `column` really holds it — hash candidates may collide).
+    fn visible(
+        store: &dyn TableStore,
+        tx: &Transaction,
+        candidates: Vec<RowId>,
+        key: Option<(usize, &Value)>,
+    ) -> Result<Vec<ScanResult>> {
+        let mut out = Vec::new();
+        for row in candidates {
+            if let Some((column, value)) = key {
+                if store.value(row, column)? != *value {
+                    continue;
+                }
+            }
+            let b = store.begin_ts(row)?;
+            let e = store.end_ts(row)?;
+            if mvcc::visible(b, e, tx.snapshot, tx.tid) {
+                out.push(ScanResult {
+                    row,
+                    values: store.row_values(row)?,
+                });
+            }
+        }
+        Ok(out)
+    }
+
     /// All rows visible to `tx`.
     // pmlint: read-path
     pub fn scan_all(&self, tx: &Transaction, table: TableId) -> Result<Vec<ScanResult>> {
-        let rows = self.table(table)?.scan_visible(tx.snapshot, tx.tid)?;
-        self.materialize(table, rows)
+        let store = self.check_table(table)?;
+        Self::materialize(store, store.scan_visible(tx.snapshot, tx.tid)?)
     }
 
     /// Visible rows with `column == value` (full column scan through the
@@ -748,10 +529,9 @@ impl Database {
         column: usize,
         value: &Value,
     ) -> Result<Vec<ScanResult>> {
-        let rows = self
-            .table(table)?
-            .scan_eq(column, value, tx.snapshot, tx.tid)?;
-        self.materialize(table, rows)
+        let store = self.check_table(table)?;
+        let rows = store.scan_eq(column, value, tx.snapshot, tx.tid)?;
+        Self::materialize(store, rows)
     }
 
     /// Visible rows with `lo <= column < hi`.
@@ -764,10 +544,9 @@ impl Database {
         lo: Option<&Value>,
         hi: Option<&Value>,
     ) -> Result<Vec<ScanResult>> {
-        let rows = self
-            .table(table)?
-            .scan_range(column, lo, hi, tx.snapshot, tx.tid)?;
-        self.materialize(table, rows)
+        let store = self.check_table(table)?;
+        let rows = store.scan_range(column, lo, hi, tx.snapshot, tx.tid)?;
+        Self::materialize(store, rows)
     }
 
     /// Point lookup through an index on `(table, column)`; falls back to a
@@ -781,62 +560,12 @@ impl Database {
         column: usize,
         value: &Value,
     ) -> Result<Vec<ScanResult>> {
-        self.check_table(table)?;
-        let t = table.0;
-        let candidates: Option<Vec<RowId>> = match &self.backend {
-            Backend::Nv(b) => {
-                if let Some(idx) = b.indexes[t].hash.iter().find(|i| i.column() == column) {
-                    Some(idx.lookup(value)?)
-                } else if let Some(idx) = b.indexes[t].ordered.iter().find(|i| i.column() == column)
-                {
-                    Some(idx.lookup(value)?)
-                } else {
-                    None
-                }
+        match self.store.probe(table.0, column, Probe::Eq(value))? {
+            (store, Some(candidates)) => {
+                Self::visible(store, tx, candidates, Some((column, value)))
             }
-            Backend::Wal(b) => {
-                if let Some(idx) = b.indexes[t].hash.iter().find(|i| i.column() == column) {
-                    Some(idx.lookup(value).to_vec())
-                } else {
-                    b.indexes[t]
-                        .ordered
-                        .iter()
-                        .find(|i| i.column() == column)
-                        .map(|idx| idx.lookup(value).to_vec())
-                }
-            }
-            Backend::Volatile(b) => {
-                if let Some(idx) = b.indexes[t].hash.iter().find(|i| i.column() == column) {
-                    Some(idx.lookup(value).to_vec())
-                } else {
-                    b.indexes[t]
-                        .ordered
-                        .iter()
-                        .find(|i| i.column() == column)
-                        .map(|idx| idx.lookup(value).to_vec())
-                }
-            }
-        };
-        let Some(candidates) = candidates else {
-            return self.scan_eq(tx, table, column, value);
-        };
-        let store = self.table(table)?;
-        let mut out = Vec::new();
-        for row in candidates {
-            // Hash candidates may collide; verify the key, then visibility.
-            if store.value(row, column)? != *value {
-                continue;
-            }
-            let b = store.begin_ts(row)?;
-            let e = store.end_ts(row)?;
-            if mvcc::visible(b, e, tx.snapshot, tx.tid) {
-                out.push(ScanResult {
-                    row,
-                    values: store.row_values(row)?,
-                });
-            }
+            (_, None) => self.scan_eq(tx, table, column, value),
         }
-        Ok(out)
     }
 
     /// Range lookup through an ordered index; falls back to a scan.
@@ -849,46 +578,16 @@ impl Database {
         lo: Option<&Value>,
         hi: Option<&Value>,
     ) -> Result<Vec<ScanResult>> {
-        self.check_table(table)?;
-        let t = table.0;
-        let candidates: Option<Vec<RowId>> = match &self.backend {
-            Backend::Nv(b) => match b.indexes[t].ordered.iter().find(|i| i.column() == column) {
-                Some(idx) => Some(idx.lookup_range(lo, hi)?),
-                None => None,
-            },
-            Backend::Wal(b) => b.indexes[t]
-                .ordered
-                .iter()
-                .find(|i| i.column() == column)
-                .map(|idx| idx.lookup_range(lo, hi)),
-            Backend::Volatile(b) => b.indexes[t]
-                .ordered
-                .iter()
-                .find(|i| i.column() == column)
-                .map(|idx| idx.lookup_range(lo, hi)),
-        };
-        let Some(candidates) = candidates else {
-            return self.scan_range(tx, table, column, lo, hi);
-        };
-        let store = self.table(table)?;
-        let mut out = Vec::new();
-        for row in candidates {
-            let b = store.begin_ts(row)?;
-            let e = store.end_ts(row)?;
-            if mvcc::visible(b, e, tx.snapshot, tx.tid) {
-                out.push(ScanResult {
-                    row,
-                    values: store.row_values(row)?,
-                });
-            }
+        match self.store.probe(table.0, column, Probe::Range(lo, hi))? {
+            (store, Some(candidates)) => Self::visible(store, tx, candidates, None),
+            (_, None) => self.scan_range(tx, table, column, lo, hi),
         }
-        Ok(out)
     }
 
     /// Total physical rows (all versions) in a table.
     // pmlint: read-path
     pub fn row_count(&self, table: TableId) -> Result<u64> {
-        Ok(self.table(table)?.row_count())
+        Ok(self.check_table(table)?.row_count())
     }
 
     // ------------------------------------------------------------------
@@ -896,28 +595,20 @@ impl Database {
     // ------------------------------------------------------------------
 
     /// Merge a table's delta into its main. Requires a quiesced table (no
-    /// in-flight transactions touching it).
-    pub fn merge(&mut self, table: TableId) -> Result<storage::MergeStats> {
-        self.check_table(table)?;
+    /// in-flight transactions touching it). Merges are admitted in every
+    /// health state — they are the cure, not the disease — but can
+    /// themselves exhaust capacity.
+    pub fn merge(&mut self, table: TableId) -> Result<MergeStats> {
         let snapshot = self.mgr.last_committed();
-        let res = match &mut self.backend {
-            Backend::Nv(b) => b.merge_table(table.0, snapshot),
-            Backend::Wal(b) => b.merge_table(table.0, snapshot),
-            Backend::Volatile(b) => b.merge_table(table.0, snapshot),
-        };
-        // Merges are admitted in every health state — they are the cure,
-        // not the disease — but can themselves exhaust capacity.
-        self.after_write(res)
+        self.mutate(Some(table), Admit::Always, |store, _| {
+            store.merge(table.0, snapshot)
+        })
     }
 
     /// Write a checkpoint (WAL backend only; no-ops elsewhere — NVM *is*
     /// its own checkpoint). Returns bytes written.
     pub fn checkpoint(&mut self) -> Result<u64> {
-        let cts = self.mgr.last_committed();
-        match &mut self.backend {
-            Backend::Wal(b) => b.checkpoint(cts),
-            _ => Ok(0),
-        }
+        self.store.checkpoint(self.mgr.last_committed())
     }
 
     // ------------------------------------------------------------------
@@ -936,235 +627,20 @@ impl Database {
             mode: self.mode(),
             ..Default::default()
         };
-        match &mut self.backend {
-            Backend::Nv(b) => {
-                // Drop the shadow writer first: its buffered records reach
-                // the log file on drop, and the file — unlike NVM cache
-                // lines — survives the simulated power loss.
-                b.shadow = None;
-                let region = b.region().clone();
-                region.crash(policy);
-                self.recover_nv(region, &mut report)?;
-            }
-            Backend::Wal(b) => {
-                // Power failure: the in-memory tables and any unsynced log
-                // buffer are gone. Dropping the writer without a final sync
-                // models the lost buffer.
-                let cfg = b.cfg.clone();
-                let paths = b.paths.clone();
-                let clock_arc = b.clock().clone();
-                let index_specs = b.index_specs.clone();
-                // File-backed recovery generates no NVM persist traffic.
-                let clock = || (clock_arc.now_ns(), PersistStats::default());
-
-                // Phase 1: load the newest checkpoint.
-                let ckpt = timed_phase(&mut report.phases, "checkpoint load", clock, || {
-                    if paths.checkpoint().exists() {
-                        wal::load_checkpoint(&paths.checkpoint())
-                            .map(Some)
-                            .map_err(EngineError::Wal)
-                    } else {
-                        Ok(None)
-                    }
-                })?;
-                let (mut tables, names, mut last_cts, covered) = match ckpt {
-                    Some((meta, tables)) => (
-                        tables,
-                        meta.table_names,
-                        meta.last_cts,
-                        meta.covered_log_pos,
-                    ),
-                    None => (Vec::new(), Vec::new(), 0, 0),
-                };
-
-                // Phase 2: replay the log suffix.
-                let replay = timed_phase(&mut report.phases, "log replay", clock, || {
-                    if paths.log().exists() {
-                        wal::replay_log(&paths.log(), covered, &mut tables)
-                            .map_err(EngineError::Wal)
-                    } else {
-                        Ok(wal::ReplayReport::default())
-                    }
-                })?;
-                last_cts = last_cts.max(replay.last_cts);
-                report.log_records_replayed = replay.records;
-
-                // Phase 3: rebuild the DRAM indexes.
-                let mut nb = WalBackend {
-                    writer: LogWriter::open(&paths.log(), clock_arc.clone(), cfg.sync_latency_ns)
-                        .map_err(EngineError::Wal)?,
-                    cfg,
-                    paths,
-                    clock: clock_arc.clone(),
-                    tables,
-                    names,
-                    indexes: Vec::new(),
-                    index_specs: Vec::new(),
-                    commits_since_sync: 0,
-                };
-                for _ in 0..nb.tables.len() {
-                    nb.indexes.push(crate::backend_wal::WalTableIndexes {
-                        hash: Vec::new(),
-                        ordered: Vec::new(),
-                    });
-                }
-                timed_phase(&mut report.phases, "index rebuild", clock, || {
-                    for (t, c, k) in &index_specs {
-                        nb.create_index(*t, *c, *k)?;
-                    }
-                    Ok::<(), EngineError>(())
-                })?;
-                // create_index re-populated index_specs.
-                report.indexes_rebuilt = (nb
-                    .indexes
-                    .iter()
-                    .map(|s| s.hash.len() + s.ordered.len())
-                    .sum::<usize>()) as u64;
-                report.last_cts = last_cts;
-                report.rows_recovered = nb.tables.iter().map(|t| t.row_count()).sum();
-
-                self.mgr = TxnManager::recovered(last_cts);
-                self.backend = Backend::Wal(nb);
-            }
-            Backend::Volatile(_) => {
-                // Everything is lost; the report records the data loss.
-                timed_phase(
-                    &mut report.phases,
-                    "data loss",
-                    || (0, PersistStats::default()),
-                    || Ok::<(), EngineError>(()),
-                )?;
-                self.mgr = TxnManager::new();
-                self.backend = Backend::Volatile(VolatileBackend::create());
-            }
-        }
-        // The health machine is volatile: re-derive it from the recovered
-        // heap exactly as a fresh process would.
-        self.health.reset();
-        report.health = self.refresh_health();
-        report.utilization = match &self.backend {
-            Backend::Nv(b) => b.heap().stats().utilization(),
-            _ => 0.0,
-        };
-        Ok(report)
+        self.store.restart(policy, &mut report)?;
+        Ok(self.recovered(report))
     }
 
-    /// The shared NVM recovery path: map the region, re-attach the
-    /// catalogue, run the registry undo pass. The crash itself (policy or
-    /// scheduled) must already have been materialized on `region`.
-    ///
-    /// On the plain NVM backend this is the fast rung-0 restart: remap and
-    /// re-attach in O(metadata), no data is touched, any failure is fatal.
-    /// When a shadow WAL is configured ([`DurabilityConfig::NvmWithWal`]),
-    /// the full recovery ladder runs instead (see [`attach_with_ladder`]).
-    fn recover_nv(
-        &mut self,
-        region: std::sync::Arc<nvm::NvmRegion>,
-        report: &mut RecoveryReport,
-    ) -> Result<()> {
-        let clock = nv_probe(&region);
-        let shadow_cfg = match &self.config {
-            DurabilityConfig::NvmWithWal { wal, .. } => Some(wal.clone()),
-            DurabilityConfig::NvmFile { wal, .. } => wal.clone(),
-            _ => None,
-        };
-        let mut retries = 0u64;
-
-        // Phase 1: map the region + allocator recovery scan.
-        let (heap, alloc_report) = timed_phase(
-            &mut report.phases,
-            "heap map + allocator scan",
-            clock,
-            || {
-                retry_poisoned(&mut retries, || {
-                    nvm::NvmHeap::open(region.clone()).map_err(EngineError::Nvm)
-                })
-            },
-        )?;
-        report.heap_blocks_scanned = alloc_report.blocks_scanned;
-
-        // Graceful-shutdown marker: read and durably clear it first, so it
-        // can never leak into this run and vouch for a later hard crash.
-        report.clean_shutdown = retry_poisoned(&mut retries, || {
-            crate::backend_nv::take_clean_shutdown(&heap)
-        })?;
-
-        // Attempt accounting: durably bump the progress word before any
-        // other recovery mutation. `attempt > 1` means this recovery is
-        // itself re-entrant — an earlier attempt was cut short by a
-        // nested crash (or a recoverable failure) before it could zero
-        // the word.
-        report.attempt = retry_poisoned(&mut retries, || {
-            crate::backend_nv::begin_recovery_attempt(&heap)
-        })?;
-
-        // Phase 2: catalogue + tables + indexes — fast path or ladder.
-        let mut nb = match &shadow_cfg {
-            None => {
-                let nb = timed_phase(
-                    &mut report.phases,
-                    "catalogue + transient rebuild",
-                    clock,
-                    || NvBackend::attach(heap),
-                )?;
-                let (attached, rebuilt) = nb.index_counts();
-                report.indexes_attached = attached;
-                report.indexes_rebuilt = rebuilt;
-                nb
-            }
-            Some(cfg) => attach_with_ladder(heap, cfg, report, &mut retries, clock)?,
-        };
-
-        // Phase 3: registry-driven undo pass — repairs exactly the rows of
-        // transactions in flight at the crash, O(in-flight writes), never
-        // O(rows). Idempotent over rung-2 rebuilt tables: replay already
-        // materialized their uncommitted rows as aborted tombstones.
-        let last_cts = nb.last_cts()?;
-        let repaired = if report.clean_shutdown {
-            // A graceful shutdown leaves no transaction in flight: the undo
-            // pass would scan an empty registry. Skipping it (no "mvcc undo
-            // pass" phase in the report) is the clean-restart fast path the
-            // SIGTERM half of the torture harness asserts on.
-            0
-        } else {
-            timed_phase(&mut report.phases, "mvcc undo pass", clock, || {
-                let NvBackend {
-                    registry, tables, ..
-                } = &mut nb;
-                let rec = registry.recover(tables, last_cts)?;
-                Ok::<u64, EngineError>(rec.repaired)
-            })?
-        };
-        report.mvcc_words_repaired = repaired;
-        report.last_cts = last_cts;
-        report.rows_recovered = nb.tables.iter().map(|t| t.row_count()).sum();
-
-        // Re-attach the shadow log and re-baseline its checkpoint from the
-        // recovered state. The re-baseline is what keeps *future* rung-2
-        // replays row-id-aligned: the old log can hold insert records for
-        // rows that never became durable on NVM, and new row ids handed out
-        // after this restart would collide with that stale suffix.
-        if let Some(cfg) = shadow_cfg {
-            let mut sw = ShadowWal::reopen(cfg, region.clone())?;
-            timed_phase(&mut report.phases, "shadow re-baseline", clock, || {
-                sw.checkpoint_full(&nb.names, &nb.tables, last_cts)
-            })?;
-            nb.shadow = Some(sw);
-        }
-
-        // Close the attempt: the progress word returns to 0 only once the
-        // ladder, undo pass, and shadow re-baseline have all completed —
-        // a nested crash anywhere above leaves it non-zero, and the next
-        // attempt reports itself as re-entrant.
-        retry_poisoned(&mut retries, || nb.finish_recovery_attempt())?;
-        report.poison_retries = retries;
-        if retries > 0 {
-            report.rung = report.rung.max(1);
-        }
-
-        self.mgr = TxnManager::recovered(last_cts);
-        self.backend = Backend::Nv(nb);
-        Ok(())
+    /// The post-recovery epilogue every restart path shares: resume the
+    /// transaction manager at the recovered watermark and re-derive the
+    /// volatile health machine from the recovered heap, exactly as a fresh
+    /// process would.
+    fn recovered(&mut self, mut report: RecoveryReport) -> RecoveryReport {
+        self.mgr = TxnManager::recovered(report.last_cts);
+        self.health.reset();
+        report.health = self.refresh_health();
+        report.utilization = self.utilization();
+        report
     }
 
     /// Materialize a crash point armed on the NVM region (see
@@ -1175,39 +651,7 @@ impl Database {
     /// `lint_findings`. The trace is closed afterwards, restoring the
     /// default synchronous persistence semantics.
     pub fn restart_scheduled(&mut self) -> Result<RecoveryReport> {
-        let region = match &mut self.backend {
-            Backend::Nv(b) => {
-                let region = b.region().clone();
-                // Flush the shadow writer's buffer into the log file before
-                // materializing the crash (the file survives power loss).
-                b.shadow = None;
-                region
-            }
-            _ => {
-                return Err(EngineError::Catalog(
-                    "scheduled crashes require the NVM backend".into(),
-                ))
-            }
-        };
-        let outcome = region
-            .finalize_scheduled_crash()
-            .map_err(EngineError::Nvm)?;
-        let mut report = RecoveryReport {
-            mode: self.mode(),
-            scheduled: Some(outcome),
-            ..Default::default()
-        };
-        let recovered = self.recover_nv(region.clone(), &mut report);
-        report.lint_findings = region.take_lint_findings();
-        let _ = region.trace_stop();
-        recovered?;
-        self.health.reset();
-        report.health = self.refresh_health();
-        report.utilization = match &self.backend {
-            Backend::Nv(b) => b.heap().stats().utilization(),
-            _ => 0.0,
-        };
-        Ok(report)
+        self.scheduled_restart(None)
     }
 
     /// Like [`Database::restart_scheduled`], but keeps the persist trace
@@ -1231,95 +675,38 @@ impl Database {
     /// backend still in place — calling the method again models the next
     /// power-cycle retrying recovery.
     pub fn restart_scheduled_traced(&mut self, next: Option<CrashPoint>) -> Result<RecoveryReport> {
-        let region = match &mut self.backend {
-            Backend::Nv(b) => {
-                let region = b.region().clone();
-                // Flush the shadow writer's buffer into the log file before
-                // materializing the crash (the file survives power loss).
-                b.shadow = None;
-                region
-            }
-            _ => {
-                return Err(EngineError::Catalog(
-                    "scheduled crashes require the NVM backend".into(),
-                ))
-            }
-        };
-        let outcome = region
-            .finalize_scheduled_crash()
-            .map_err(EngineError::Nvm)?;
-        region
-            .rearm_recovery_crash(next)
-            .map_err(EngineError::Nvm)?;
+        self.scheduled_restart(Some(next))
+    }
+
+    /// The one body of both scheduled restarts (`rearm` as in
+    /// [`NvBackend::restart_scheduled`]).
+    fn scheduled_restart(&mut self, rearm: Option<Option<CrashPoint>>) -> Result<RecoveryReport> {
         let mut report = RecoveryReport {
             mode: self.mode(),
-            scheduled: Some(outcome),
             ..Default::default()
         };
-        self.recover_nv(region.clone(), &mut report)?;
-        report.lint_findings = region.take_lint_findings();
-        self.health.reset();
-        report.health = self.refresh_health();
-        report.utilization = match &self.backend {
-            Backend::Nv(b) => b.heap().stats().utilization(),
-            _ => 0.0,
-        };
-        Ok(report)
+        self.nv_mut()?.restart_scheduled(rearm, &mut report)?;
+        Ok(self.recovered(report))
     }
 
     /// Post-recovery integrity check composing the crash-torture
-    /// invariants: the heap walk (no block stuck mid-protocol), per-table
-    /// MVCC cleanliness at the durable watermark, and index↔table
-    /// agreement. Cheap enough to run after every scheduled crash; on the
-    /// WAL and volatile backends only the MVCC check applies.
+    /// invariants: per-table MVCC cleanliness at the durable watermark,
+    /// plus — on the NVM backend — the heap walk (no block stuck
+    /// mid-protocol) and index↔table agreement. Cheap enough to run after
+    /// every scheduled crash.
     pub fn verify_integrity(&self) -> Result<IntegrityReport> {
         let last_cts = self.mgr.last_committed();
         let mut rep = IntegrityReport {
             last_cts,
             ..Default::default()
         };
-        match &self.backend {
-            Backend::Nv(b) => {
-                for blk in b.heap().walk().map_err(EngineError::Nvm)? {
-                    rep.heap_blocks += 1;
-                    match blk.state {
-                        nvm::AllocState::Allocated | nvm::AllocState::Free => {}
-                        _ => rep.heap_limbo_blocks += 1,
-                    }
-                }
-                for t in &b.tables {
-                    rep.mvcc
-                        .absorb(&t.verify_mvcc(last_cts).map_err(EngineError::Storage)?);
-                }
-                for (t, set) in b.tables.iter().zip(&b.indexes) {
-                    for idx in &set.hash {
-                        rep.index
-                            .absorb(&idx.verify_against(t).map_err(EngineError::Storage)?);
-                    }
-                    for idx in &set.ordered {
-                        rep.index
-                            .absorb(&idx.verify_against(t).map_err(EngineError::Storage)?);
-                    }
-                }
-            }
-            Backend::Wal(b) => {
-                for t in &b.tables {
-                    rep.mvcc
-                        .absorb(&t.verify_mvcc(last_cts).map_err(EngineError::Storage)?);
-                }
-            }
-            Backend::Volatile(b) => {
-                for t in &b.tables {
-                    rep.mvcc
-                        .absorb(&t.verify_mvcc(last_cts).map_err(EngineError::Storage)?);
-                }
-            }
+        for t in 0..self.table_count() {
+            rep.mvcc
+                .absorb(&self.store.table(t)?.verify_mvcc(last_cts)?);
         }
+        self.store.check_integrity(&mut rep)?;
         rep.health = self.health.state();
-        rep.utilization = match &self.backend {
-            Backend::Nv(b) => b.heap().stats().utilization(),
-            _ => 0.0,
-        };
+        rep.utilization = self.utilization();
         Ok(rep)
     }
 
@@ -1329,39 +716,17 @@ impl Database {
 
     /// The labelled persistent extents of a table — fault-injection targets
     /// for the media-torture harness (NVM backend only).
-    pub fn media_extents(&self, table: TableId) -> Result<Vec<MediaExtent>> {
+    pub fn media_extents(&self, table: TableId) -> Result<Vec<storage::nv::MediaExtent>> {
         self.check_table(table)?;
-        match &self.backend {
-            Backend::Nv(b) => b.tables[table.0]
-                .media_extents()
-                .map_err(EngineError::Storage),
-            _ => Err(EngineError::Unsupported(
-                "media extents require the NVM backend",
-            )),
-        }
+        self.nv()?.media_extents(table.0)
     }
 
     /// The labelled persistent extents of a table's indexes — checksummed
     /// node/entry runs usable as corruption targets by the real-file
     /// media-fault harness (NVM backend only).
-    pub fn index_media_extents(&self, table: TableId) -> Result<Vec<MediaExtent>> {
+    pub fn index_media_extents(&self, table: TableId) -> Result<Vec<storage::nv::MediaExtent>> {
         self.check_table(table)?;
-        match &self.backend {
-            Backend::Nv(b) => {
-                let set = &b.indexes[table.0];
-                let mut out = Vec::new();
-                for idx in &set.hash {
-                    out.extend(idx.media_extents().map_err(EngineError::Storage)?);
-                }
-                for idx in &set.ordered {
-                    out.extend(idx.media_extents().map_err(EngineError::Storage)?);
-                }
-                Ok(out)
-            }
-            _ => Err(EngineError::Unsupported(
-                "media extents require the NVM backend",
-            )),
-        }
+        self.nv()?.index_media_extents(table.0)
     }
 
     /// On-demand media verification of every persistent structure: table
@@ -1369,295 +734,13 @@ impl Database {
     /// agreement. Returns the number of structures verified; any media
     /// fault surfaces as a typed error (NVM backend only).
     pub fn verify_media(&self) -> Result<u64> {
-        let b = match &self.backend {
-            Backend::Nv(b) => b,
-            _ => {
-                return Err(EngineError::Unsupported(
-                    "media verification requires the NVM backend",
-                ))
-            }
-        };
-        let last_cts = b.last_cts()?;
-        let mut n = 0u64;
-        for t in &b.tables {
-            n += t.verify_media(last_cts).map_err(EngineError::Storage)?;
-        }
-        for (t, set) in b.tables.iter().zip(&b.indexes) {
-            for idx in &set.hash {
-                let check = idx.verify_against(t).map_err(EngineError::Storage)?;
-                if !check.is_clean() {
-                    return Err(EngineError::Catalog(
-                        "hash index disagrees with its table".into(),
-                    ));
-                }
-                n += 1;
-            }
-            for idx in &set.ordered {
-                let check = idx.verify_against(t).map_err(EngineError::Storage)?;
-                if !check.is_clean() {
-                    return Err(EngineError::Catalog(
-                        "ordered index disagrees with its table".into(),
-                    ));
-                }
-                n += 1;
-            }
-        }
-        Ok(n)
-    }
-}
-
-/// [`timed_phase`] probe over an NVM region: the simulated clock plus the
-/// region's persist counters, so each recovery phase's report row carries
-/// the traffic it generated.
-fn nv_probe(
-    region: &std::sync::Arc<nvm::NvmRegion>,
-) -> impl Fn() -> (u64, PersistStats) + Copy + '_ {
-    move || {
-        let s = region.stats();
-        (
-            region.clock().now_ns(),
-            PersistStats {
-                bytes_written: s.bytes_written,
-                flushes: s.flush_calls,
-                lines_flushed: s.lines_flushed,
-                fences: s.fences,
-            },
-        )
-    }
-}
-
-/// Recovery rungs 0–2 for the NVM-with-shadow backend: catalogue decode
-/// with per-table failure isolation, bounded retry of transiently poisoned
-/// reads (rung 1), media verification of every checksummed structure, WAL
-/// fallback replay for tables whose NVM image cannot be trusted (rung 2),
-/// and per-index verify-or-rebuild (rung 1).
-fn attach_with_ladder(
-    heap: NvmHeap,
-    wal_cfg: &WalConfig,
-    report: &mut RecoveryReport,
-    retries: &mut u64,
-    clock: impl Fn() -> (u64, PersistStats) + Copy,
-) -> Result<NvBackend> {
-    use storage::nv::NvTable;
-
-    // Catalogue decode. Catalogue-level damage stays fatal: without the
-    // table registry nothing can be salvaged, not even from the log.
-    let mut parts = timed_phase(
-        &mut report.phases,
-        "catalogue + transient rebuild",
-        clock,
-        || retry_poisoned(retries, || NvBackend::attach_parts(heap.clone())),
-    )?;
-    let last_cts = parts.last_cts;
-
-    // Rung 1: transiently poisoned table opens get a bounded retry.
-    let retry_heap = parts.heap.clone();
-    for (slot, &root) in parts.tables.iter_mut().zip(parts.roots.iter()) {
-        if matches!(slot, Err(e) if is_transient_poison(e)) {
-            *slot = retry_poisoned(retries, || {
-                NvTable::open(&retry_heap, root).map_err(EngineError::Storage)
-            });
-        }
-    }
-
-    // Rung-0 detection: media-verify every table — block headers and
-    // checksummed payloads plus MVCC timestamp plausibility. A table whose
-    // image cannot be trusted goes on the rebuild list.
-    let mut unhealthy: Vec<usize> = Vec::new();
-    let mut verified = 0u64;
-    timed_phase(&mut report.phases, "media verification", clock, || {
-        for (t, slot) in parts.tables.iter().enumerate() {
-            match slot {
-                Err(_) => unhealthy.push(t),
-                Ok(tab) => match retry_poisoned(retries, || {
-                    tab.verify_media(last_cts).map_err(EngineError::Storage)
-                }) {
-                    Ok(n) => verified += n,
-                    Err(_) => unhealthy.push(t),
-                },
-            }
-        }
-        Ok::<(), EngineError>(())
-    })?;
-    report.media_structures_verified = verified;
-
-    // Rung 2: rebuild broken tables from the shadow log, bounded at the
-    // published commit timestamp (the `log ⊇ published state` invariant).
-    // The old trees stay allocated but unreachable — quarantined, since
-    // their block metadata cannot be trusted after a media fault.
-    if !unhealthy.is_empty() {
-        let mut replayed = 0u64;
-        timed_phase(&mut report.phases, "wal fallback replay", clock, || {
-            let paths = wal::WalPaths::new(&wal_cfg.dir).map_err(wal::WalError::Io)?;
-            let (meta, mut skel) = wal::load_checkpoint(&paths.checkpoint())?;
-            let rep =
-                wal::replay_log_bounded(&paths.log(), meta.covered_log_pos, &mut skel, last_cts)?;
-            replayed = rep.records;
-            for &t in &unhealthy {
-                let src = skel.get(t).ok_or_else(|| {
-                    EngineError::Catalog(
-                        "shadow checkpoint is missing a table the catalogue lists".into(),
-                    )
-                })?;
-                let nt = NvBackend::rebuild_table_from(&parts.heap, src)?;
-                parts.swap_table_root(t, nt.root_offset())?;
-                let slot = parts.tables.get_mut(t).ok_or_else(|| {
-                    EngineError::Catalog("rebuilt table slot vanished from catalogue".into())
-                })?;
-                *slot = Ok(nt);
-            }
-            Ok::<(), EngineError>(())
-        })?;
-        report.rung = 2;
-        report.log_records_replayed = replayed;
-        report.structures_rebuilt += unhealthy.len() as u64;
-        report.blocks_quarantined += unhealthy.len() as u64;
-    }
-
-    // Index verify-or-rebuild. Indexes of rebuilt tables are rebuilt
-    // unconditionally — their old entries point into the quarantined tree.
-    // Healthy tables keep their indexes unless attach or verification
-    // against the table fails.
-    let mut indexes: Vec<NvTableIndexes> = Vec::new();
-    let mut attached = 0u64;
-    let mut rebuilt = 0u64;
-    timed_phase(&mut report.phases, "index verify + attach", clock, || {
-        for (t, slot) in parts.tables.iter().enumerate() {
-            let table = match slot {
-                Ok(tab) => tab,
-                Err(_) => {
-                    return Err(EngineError::Catalog(
-                        "table slot left unhealthy after ladder".into(),
-                    ))
-                }
-            };
-            let force = unhealthy.contains(&t);
-            let mut set = NvTableIndexes {
-                hash: Vec::new(),
-                ordered: Vec::new(),
-            };
-            for e in parts.index_entries(t)? {
-                match e.kind {
-                    KIND_HASH => {
-                        let ok = if force {
-                            None
-                        } else {
-                            attach_hash(&parts, table, &e, retries)
-                        };
-                        match ok {
-                            Some(idx) => {
-                                attached += 1;
-                                set.hash.push(idx);
-                            }
-                            None => {
-                                let nbuckets = (table.row_count() * 2).max(1024);
-                                let idx = NvHashIndex::build_from(
-                                    &parts.heap,
-                                    table,
-                                    e.column,
-                                    nbuckets,
-                                )?;
-                                parts.swap_index_desc(&e, idx.desc_offset())?;
-                                rebuilt += 1;
-                                set.hash.push(idx);
-                            }
-                        }
-                    }
-                    KIND_ORDERED => {
-                        let ok = if force {
-                            None
-                        } else {
-                            attach_ordered(&parts, table, &e, retries)
-                        };
-                        match ok {
-                            Some(idx) => {
-                                attached += 1;
-                                set.ordered.push(idx);
-                            }
-                            None => {
-                                let idx = NvOrderedIndex::build_from(&parts.heap, table, e.column)?;
-                                parts.swap_index_desc(&e, idx.desc_offset())?;
-                                rebuilt += 1;
-                                set.ordered.push(idx);
-                            }
-                        }
-                    }
-                    _ => return Err(EngineError::Catalog("unknown index kind".into())),
-                }
-            }
-            indexes.push(set);
-        }
-        Ok(())
-    })?;
-    if rebuilt > 0 {
-        report.rung = report.rung.max(1);
-        report.structures_rebuilt += rebuilt;
-        report.blocks_quarantined += rebuilt;
-    }
-    report.indexes_attached = attached;
-    report.indexes_rebuilt = rebuilt;
-
-    parts.into_backend(indexes)
-}
-
-/// Attach + verify one persistent hash index; `None` means "rebuild it".
-fn attach_hash(
-    parts: &crate::backend_nv::AttachParts,
-    table: &storage::nv::NvTable,
-    e: &crate::backend_nv::IndexEntrySpec,
-    retries: &mut u64,
-) -> Option<NvHashIndex> {
-    retry_poisoned(retries, || {
-        let idx = NvHashIndex::open(&parts.heap, e.desc).map_err(EngineError::Storage)?;
-        let check = idx.verify_against(table).map_err(EngineError::Storage)?;
-        Ok((idx, check))
-    })
-    .ok()
-    .and_then(|(idx, check)| check.is_clean().then_some(idx))
-}
-
-/// Attach + verify one persistent ordered index; `None` means "rebuild it".
-fn attach_ordered(
-    parts: &crate::backend_nv::AttachParts,
-    table: &storage::nv::NvTable,
-    e: &crate::backend_nv::IndexEntrySpec,
-    retries: &mut u64,
-) -> Option<NvOrderedIndex> {
-    retry_poisoned(retries, || {
-        let idx = NvOrderedIndex::open(&parts.heap, e.desc).map_err(EngineError::Storage)?;
-        let check = idx.verify_against(table).map_err(EngineError::Storage)?;
-        Ok((idx, check))
-    })
-    .ok()
-    .and_then(|(idx, check)| check.is_clean().then_some(idx))
-}
-
-/// Shared retry budget for transient failures: recovery's rung-1 poison
-/// retries and [`retry_write`]'s capacity retries draw on the same bound,
-/// so "how long the engine struggles before giving up" is one knob.
-pub(crate) const MAX_TRANSIENT_RETRIES: u64 = 8;
-
-/// Bounded retry for transiently poisoned NVM reads (recovery rung 1): the
-/// fault model clears a transient poison after a bounded number of failing
-/// reads, so a handful of retries repairs it in place. Permanent poison,
-/// checksum mismatches, and every other error pass straight through.
-fn retry_poisoned<T>(retries: &mut u64, mut f: impl FnMut() -> Result<T>) -> Result<T> {
-    let mut attempt = 0;
-    loop {
-        match f() {
-            Ok(v) => return Ok(v),
-            Err(e) if is_transient_poison(&e) && attempt < MAX_TRANSIENT_RETRIES => {
-                attempt += 1;
-                *retries += 1;
-            }
-            Err(e) => return Err(e),
-        }
+        self.nv()?.verify_media()
     }
 }
 
 /// Bounded retry-with-backoff for writes under capacity pressure — the
 /// write-path twin of recovery's rung-1 poison retry (same
-/// [`MAX_TRANSIENT_RETRIES`] budget). A retryable rejection (backpressure
+/// `MAX_TRANSIENT_RETRIES` budget). A retryable rejection (backpressure
 /// or typed capacity exhaustion) triggers an exponential backoff charged
 /// to the simulated clock, then an emergency [`Database::reclaim`] pass,
 /// then the operation runs again. Non-retryable errors (conflicts,
@@ -1685,52 +768,13 @@ pub fn retry_write<T>(
         match op(db) {
             Err(e) if e.is_retryable() && attempt < MAX_TRANSIENT_RETRIES => {
                 attempt += 1;
-                if let Backend::Nv(b) = &db.backend {
+                if let Ok(b) = db.nv() {
                     b.region().clock().charge(1_000u64 << attempt.min(10));
                 }
                 db.reclaim()?;
             }
             other => return other,
         }
-    }
-}
-
-/// True when the error is a transiently poisoned read that a bounded retry
-/// can clear.
-fn is_transient_poison(e: &EngineError) -> bool {
-    matches!(
-        e,
-        EngineError::Nvm(nvm::NvmError::PoisonedRead {
-            permanent: false,
-            ..
-        }) | EngineError::Storage(storage::StorageError::Nvm(nvm::NvmError::PoisonedRead {
-            permanent: false,
-            ..
-        }))
-    )
-}
-
-/// Durable commit publish for the WAL backend: append a commit record; sync
-/// when the group-commit window fills.
-struct WalPublisher<'a> {
-    writer: &'a mut LogWriter,
-    commits_since_sync: &'a mut u32,
-    every: u32,
-}
-
-impl txn::CommitPublish for WalPublisher<'_> {
-    fn publish(&mut self, cts: u64, txn: &Transaction) -> txn::Result<()> {
-        self.writer
-            .append(&wal::LogRecord::Commit { tid: txn.tid, cts })
-            .map_err(|e| txn::TxnError::Publish(e.to_string()))?;
-        *self.commits_since_sync += 1;
-        if *self.commits_since_sync >= self.every {
-            self.writer
-                .sync()
-                .map_err(|e| txn::TxnError::Publish(e.to_string()))?;
-            *self.commits_since_sync = 0;
-        }
-        Ok(())
     }
 }
 

@@ -8,13 +8,16 @@
 //! database systems"*, ICDE 2016.
 //!
 //! The [`Database`] façade runs the same columnar main/delta storage and
-//! snapshot-isolation MVCC over three interchangeable durability backends:
+//! snapshot-isolation MVCC over three interchangeable durability backends.
+//! It implements every operation once over one internal seam (the
+//! crate-private `Store` trait); each backend supplies its table and index
+//! set and the durability hooks around writes, commits and restarts:
 //!
-//! | backend | primary data | durability | restart cost |
-//! |---|---|---|---|
-//! | [`DurabilityConfig::Nvm`] | on simulated NVM | flush/fence ordering | **O(metadata)** — map heap, rebuild probe maps, undo pass |
-//! | [`DurabilityConfig::Wal`] | DRAM | redo log + checkpoints | **O(data)** — load checkpoint, replay log, rebuild indexes |
-//! | [`DurabilityConfig::Volatile`] | DRAM | none | total data loss |
+//! | backend | store | primary data | durability hooks | restart cost |
+//! |---|---|---|---|---|
+//! | [`DurabilityConfig::Nvm`] (also `NvmWithWal`, `NvmFile`) | [`NvBackend`] | on (simulated or file-backed) NVM | registry entries, flush/fence ordering, catalogue cts publish | **O(metadata)** — map heap, rebuild probe maps, undo pass |
+//! | [`DurabilityConfig::Wal`] | [`WalBackend`] = [`VolatileBackend`] + log | DRAM | redo log + checkpoints | **O(data)** — load checkpoint, replay log, rebuild indexes |
+//! | [`DurabilityConfig::Volatile`] | [`VolatileBackend`] | DRAM | none | total data loss |
 //!
 //! ```
 //! use hyrise_nv::{Database, DurabilityConfig};
@@ -49,8 +52,10 @@ mod db;
 mod error;
 mod health;
 mod query;
+mod recovery;
 mod report;
 mod shadow_wal;
+mod store;
 pub mod torture;
 mod txn_registry;
 

@@ -153,7 +153,11 @@ impl ShadowWal {
         let exported: Vec<(String, VTable)> = names
             .iter()
             .zip(tables)
-            .map(|(n, t)| Ok((n.clone(), export_vtable(t)?)))
+            .map(|(n, t)| {
+                let mut copy = VTable::new(t.schema().clone());
+                copy_versions(t, &mut copy)?;
+                Ok((n.clone(), copy))
+            })
             .collect::<Result<_>>()?;
         let named: Vec<(String, &VTable)> = exported.iter().map(|(n, t)| (n.clone(), t)).collect();
         wal::write_checkpoint(
@@ -166,24 +170,23 @@ impl ShadowWal {
     }
 }
 
-/// Deep-copy a table into a DRAM [`VTable`], preserving physical row ids,
-/// begin/end timestamps, and tombstones. Only valid on a quiesced table.
-fn export_vtable(src: &impl TableStore) -> Result<VTable> {
-    let mut out = VTable::new(src.schema().clone());
+/// Deep-copy every row version of `src` into the empty table `dst`,
+/// preserving physical row ids, begin/end timestamps, and tombstones. Only
+/// valid on a quiesced table.
+pub(crate) fn copy_versions(src: &dyn TableStore, dst: &mut dyn TableStore) -> Result<()> {
     for row in 0..src.row_count() {
-        let values = src.row_values(row).map_err(EngineError::Storage)?;
-        let begin = src.begin_ts(row).map_err(EngineError::Storage)?;
-        let got = out
-            .insert_version(&values, begin)
-            .map_err(EngineError::Storage)?;
-        debug_assert_eq!(got, row);
-        let end = src.end_ts(row).map_err(EngineError::Storage)?;
+        let values = src.row_values(row)?;
+        if dst.insert_version(&values, src.begin_ts(row)?)? != row {
+            return Err(EngineError::Catalog(
+                "row id drift during table copy".into(),
+            ));
+        }
+        let end = src.end_ts(row)?;
         if end != TS_INF {
-            out.commit_invalidate(row, end)
-                .map_err(EngineError::Storage)?;
+            dst.commit_invalidate(row, end)?;
         }
     }
-    Ok(out)
+    Ok(())
 }
 
 impl std::fmt::Debug for ShadowWal {

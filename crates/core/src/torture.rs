@@ -1,8 +1,10 @@
 //! Shared deterministic torture workload: the seeded transaction mix, the
 //! commit-ledger oracle, and the four-invariant post-recovery check used by
-//! the in-process crash-torture tests, the out-of-process kill(-9) harness
-//! (`torture_child` + `tests/integration_real_crash.rs`), and the
-//! sim-vs-real conformance pass.
+//! every crash, recovery, fault and exhaustion torture suite, the
+//! out-of-process kill(-9) harness (`torture_child` +
+//! `tests/integration_real_crash.rs`), and the sim-vs-real conformance
+//! pass. Suites with their own generators emit [`TortureTxn`]s and run
+//! them through [`apply_workload`].
 //!
 //! Everything here is a pure function of the seed: the same seed produces
 //! the same transactions, the same begin/commit sequence, and therefore the
@@ -52,12 +54,17 @@ pub struct TortureTxn {
 }
 
 /// Deterministic workload for a case seed: a mix of multi-op transactions
-/// over a wide key space, with aborts sprinkled in. Identical to the
-/// in-process crash-torture generator so repro seeds transfer between the
-/// sim and real harnesses.
+/// over a wide key space, with aborts sprinkled in. The in-process crash
+/// torture and the out-of-process kill harness share it, so repro seeds
+/// transfer between the sim and real harnesses.
 pub fn gen_workload(seed: u64) -> Vec<TortureTxn> {
+    gen_workload_sized(seed, 10..26)
+}
+
+/// [`gen_workload`] with the transaction count drawn from `txns`.
+pub fn gen_workload_sized(seed: u64, txns: std::ops::Range<usize>) -> Vec<TortureTxn> {
     let mut rng = SmallRng::seed_from_u64(seed);
-    let ntxns = rng.gen_range_usize(10, 26);
+    let ntxns = rng.gen_range_usize(txns.start, txns.end);
     (0..ntxns)
         .map(|_| {
             let nops = rng.gen_range_usize(1, 6);
@@ -158,6 +165,32 @@ pub fn apply_workload(
     Ok(())
 }
 
+/// The committed load of the media-fault suites: 12 transactions of up to
+/// 10 fresh random keys (`0..4000`, random versions), merged after the
+/// seventh when `merge` is set — a checksummed main partition plus a live
+/// delta for the fault injectors to aim at. Returns the committed oracle.
+pub fn load_unique_keys(db: &mut Database, t: TableId, seed: u64, merge: bool) -> Result<Oracle> {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut oracle = Oracle::new();
+    for txn_i in 0..12 {
+        let mut tx = db.begin();
+        for _ in 0..10 {
+            let key = rng.gen_range_i64(0, 4000);
+            if oracle.contains_key(&key) {
+                continue;
+            }
+            let ver = rng.next_u64() as i64 & 0xFFFF;
+            db.insert(&mut tx, t, &[Value::Int(key), Value::Int(ver)])?;
+            oracle.insert(key, ver);
+        }
+        db.commit(&mut tx)?;
+        if merge && txn_i == 6 {
+            db.merge(t)?;
+        }
+    }
+    Ok(oracle)
+}
+
 /// Scan the engine's visible state into an oracle map.
 pub fn engine_state(db: &mut Database, t: TableId) -> Result<Oracle> {
     let tx = db.begin();
@@ -166,6 +199,15 @@ pub fn engine_state(db: &mut Database, t: TableId) -> Result<Oracle> {
         .into_iter()
         .filter_map(|r| Some((r.values[0].as_int()?, r.values[1].as_int()?)))
         .collect())
+}
+
+/// A scale knob read from the environment (`default` when unset or
+/// unparsable), so CI can run a smoke while local runs go deeper.
+pub fn env_usize(name: &str, default: usize) -> usize {
+    std::env::var(name)
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(default)
 }
 
 /// An invariant violation found by [`check_invariants`].

@@ -219,10 +219,12 @@ mod tests {
         //   reader:            └ observe odd seq, enter read() ┘ validate
         //
         // The writer blocks *between* region calls, so no region lock is
-        // held while it waits. The reader provably sees the open window
-        // (is_torn) before calling read(); the sequence is monotonic, so
-        // the read can never validate against the pre-open payload — the
-        // only validatable outcome is the complete post-write payload.
+        // held while it waits. The reader observes the open window
+        // (is_torn) and reports it over `entered`; the main thread resumes
+        // the writer only after that report, so the observation always
+        // precedes the close. The sequence is monotonic, so the read can
+        // never validate against the pre-open payload — the only
+        // validatable outcome is the complete post-write payload.
         // `f` runs exactly once: while the window is odd the read spins
         // without invoking it, and after the even close nothing moves the
         // sequence again.
@@ -234,6 +236,7 @@ mod tests {
 
         let (opened_tx, opened_rx) = mpsc::channel::<()>();
         let (resume_tx, resume_rx) = mpsc::channel::<()>();
+        let (entered_tx, entered_rx) = mpsc::channel::<()>();
         let writer = {
             let l = l.clone();
             std::thread::spawn(move || {
@@ -254,6 +257,7 @@ mod tests {
             let calls = calls.clone();
             std::thread::spawn(move || {
                 assert!(l.is_torn().unwrap(), "reader enters during the window");
+                entered_tx.send(()).unwrap();
                 l.read(move |b| {
                     calls.fetch_add(1, Ordering::SeqCst);
                     b.to_vec()
@@ -261,6 +265,9 @@ mod tests {
                 .unwrap()
             })
         };
+        // A failed check in the reader drops `entered_tx`, so this receive
+        // fails instead of hanging.
+        entered_rx.recv().unwrap();
         resume_tx.send(()).unwrap();
         writer.join().unwrap();
         let bytes = reader.join().unwrap();

@@ -7,60 +7,39 @@
 //! oracle state of the durable committed prefix: every published commit
 //! durable, no uncommitted effect visible, MVCC invariants intact.
 
-use std::collections::BTreeMap;
-
+use hyrise_nv::torture::{apply_workload, engine_state, schema, Oracle, TortureOp, TortureTxn};
 use hyrise_nv::{Database, DurabilityConfig, IndexKind};
 use nvm::{CrashSchedule, TraceConfig};
-use storage::{ColumnDef, DataType, Schema, Value};
+use storage::Value;
 use util::rng::{Rng, SmallRng};
 
 /// Key universe — wide enough that runs mix fresh inserts with updates and
 /// deletes of existing keys rather than hammering a handful of rows.
 const KEY_SPACE: i64 = 500;
 
-#[derive(Debug, Clone)]
-enum FuzzOp {
-    Insert { key: i64 },
-    Update { key: i64, version: u32 },
-    Delete { key: i64 },
-}
-
-#[derive(Debug, Clone)]
-struct FuzzTxn {
-    ops: Vec<FuzzOp>,
-    commit: bool,
-}
-
-fn gen_op(rng: &mut SmallRng) -> FuzzOp {
+fn gen_op(rng: &mut SmallRng) -> TortureOp {
     let key = rng.gen_range_i64(0, KEY_SPACE);
     match rng.gen_range_u64(0, 3) {
-        0 => FuzzOp::Insert { key },
-        1 => FuzzOp::Update {
+        0 => TortureOp::Insert { key },
+        1 => TortureOp::Update {
             key,
-            version: rng.next_u64() as u32,
+            version: rng.next_u64() as u32 as i64,
         },
-        _ => FuzzOp::Delete { key },
+        _ => TortureOp::Delete { key },
     }
 }
 
-fn gen_txn(rng: &mut SmallRng) -> FuzzTxn {
+fn gen_txn(rng: &mut SmallRng) -> TortureTxn {
     let n = rng.gen_range_usize(1, 6);
-    FuzzTxn {
+    TortureTxn {
         ops: (0..n).map(|_| gen_op(rng)).collect(),
         commit: rng.gen_bool(0.75),
     }
 }
 
-fn gen_txns(rng: &mut SmallRng, lo: usize, hi: usize) -> Vec<FuzzTxn> {
+fn gen_txns(rng: &mut SmallRng, lo: usize, hi: usize) -> Vec<TortureTxn> {
     let n = rng.gen_range_usize(lo, hi);
     (0..n).map(|_| gen_txn(rng)).collect()
-}
-
-fn schema() -> Schema {
-    Schema::new(vec![
-        ColumnDef::new("k", DataType::Int),
-        ColumnDef::new("ver", DataType::Int),
-    ])
 }
 
 fn nvm_db() -> Database {
@@ -71,74 +50,20 @@ fn nvm_db() -> Database {
     .unwrap()
 }
 
-/// Oracle: committed key → latest committed version.
-type Oracle = BTreeMap<i64, i64>;
-
-/// Apply transactions "insert-if-absent / update / delete" style so the
-/// oracle stays a map. When `snaps` is given, the oracle state after every
-/// commit is recorded together with its commit timestamp (the
-/// committed-prefix ledger the mid-run crash tests check against).
-fn apply_all(
+/// Run `txns` through the shared torture driver, extending the
+/// committed-prefix ledger; returns the oracle after the last commit.
+fn run_txns(
     db: &mut Database,
     t: hyrise_nv::TableId,
-    txns: &[FuzzTxn],
-    oracle: &mut Oracle,
-    mut snaps: Option<&mut Vec<(u64, Oracle)>>,
-) -> hyrise_nv::Result<()> {
-    for txn in txns {
-        let mut shadow = oracle.clone();
-        let mut tx = db.begin();
-        for op in &txn.ops {
-            match op {
-                FuzzOp::Insert { key } => {
-                    if !shadow.contains_key(key) {
-                        db.insert(&mut tx, t, &[Value::Int(*key), Value::Int(0)])?;
-                        shadow.insert(*key, 0);
-                    }
-                }
-                FuzzOp::Update { key, version } => {
-                    let hits = db.scan_eq(&tx, t, 0, &Value::Int(*key))?;
-                    if let Some(hit) = hits.first() {
-                        let row = hit.row;
-                        db.update(
-                            &mut tx,
-                            t,
-                            row,
-                            &[Value::Int(*key), Value::Int(*version as i64)],
-                        )?;
-                        shadow.insert(*key, *version as i64);
-                    }
-                }
-                FuzzOp::Delete { key } => {
-                    let hits = db.scan_eq(&tx, t, 0, &Value::Int(*key))?;
-                    if let Some(hit) = hits.first() {
-                        let row = hit.row;
-                        db.delete(&mut tx, t, row)?;
-                        shadow.remove(key);
-                    }
-                }
-            }
-        }
-        if txn.commit {
-            let cts = db.commit(&mut tx)?;
-            *oracle = shadow;
-            if let Some(snaps) = snaps.as_deref_mut() {
-                snaps.push((cts, oracle.clone()));
-            }
-        } else {
-            db.abort(&mut tx)?;
-        }
-    }
-    Ok(())
+    txns: &[TortureTxn],
+    snaps: &mut Vec<(u64, Oracle)>,
+) -> Oracle {
+    apply_workload(db, t, txns, snaps, |_, _| {}).unwrap();
+    snaps.last().map(|(_, o)| o.clone()).unwrap_or_default()
 }
 
-fn engine_state(db: &mut Database, t: hyrise_nv::TableId) -> Oracle {
-    let tx = db.begin();
-    db.scan_all(&tx, t)
-        .unwrap()
-        .into_iter()
-        .map(|r| (r.values[0].as_int().unwrap(), r.values[1].as_int().unwrap()))
-        .collect()
+fn ledger() -> Vec<(u64, Oracle)> {
+    vec![(0, Oracle::new())]
 }
 
 #[test]
@@ -152,8 +77,7 @@ fn nvm_crash_recovery_matches_oracle() {
         let mut db = nvm_db();
         let t = db.create_table("t", schema()).unwrap();
         db.create_index(t, 0, IndexKind::Hash).unwrap();
-        let mut oracle = Oracle::new();
-        apply_all(&mut db, t, &txns, &mut oracle, None).unwrap();
+        let oracle = run_txns(&mut db, t, &txns, &mut ledger());
 
         let policy = if evict {
             nvm::CrashPolicy::RandomEviction {
@@ -164,7 +88,7 @@ fn nvm_crash_recovery_matches_oracle() {
             nvm::CrashPolicy::DropUnflushed
         };
         db.restart(policy).unwrap();
-        assert_eq!(engine_state(&mut db, t), oracle, "case {case}");
+        assert_eq!(engine_state(&mut db, t).unwrap(), oracle, "case {case}");
 
         // Index agreement after recovery.
         let tx = db.begin();
@@ -199,8 +123,7 @@ fn mid_run_scheduled_crashes_match_committed_prefix() {
             db.create_index(t, 0, IndexKind::Hash).unwrap();
             let region = db.nv_backend().unwrap().region().clone();
             region.trace_start(TraceConfig { keep_events: false });
-            let mut oracle = Oracle::new();
-            apply_all(&mut db, t, &txns, &mut oracle, None).unwrap();
+            run_txns(&mut db, t, &txns, &mut ledger());
             region.trace_stop().unwrap().fences
         };
         assert!(total_fences > 0, "case {case}: workload issued no fences");
@@ -216,9 +139,8 @@ fn mid_run_scheduled_crashes_match_committed_prefix() {
             region.trace_start(TraceConfig { keep_events: false });
             region.arm_crash(point).unwrap();
 
-            let mut oracle = Oracle::new();
-            let mut snaps: Vec<(u64, Oracle)> = vec![(0, Oracle::new())];
-            apply_all(&mut db, t, &txns, &mut oracle, Some(&mut snaps)).unwrap();
+            let mut snaps = ledger();
+            run_txns(&mut db, t, &txns, &mut snaps);
 
             let report = db.restart_scheduled().unwrap();
             let expected = snaps
@@ -228,7 +150,7 @@ fn mid_run_scheduled_crashes_match_committed_prefix() {
                 .map(|(_, o)| o.clone())
                 .unwrap();
             assert_eq!(
-                engine_state(&mut db, t),
+                engine_state(&mut db, t).unwrap(),
                 expected,
                 "case {case} point {i} ({point:?}): recovered state must be the \
                  committed prefix at cts {}",
@@ -251,10 +173,9 @@ fn wal_crash_recovery_matches_oracle() {
         let txns = gen_txns(&mut rng, 1, 15);
         let mut db = Database::create(DurabilityConfig::wal_temp()).unwrap();
         let t = db.create_table("t", schema()).unwrap();
-        let mut oracle = Oracle::new();
-        apply_all(&mut db, t, &txns, &mut oracle, None).unwrap();
+        let oracle = run_txns(&mut db, t, &txns, &mut ledger());
         db.restart_after_crash().unwrap();
-        assert_eq!(engine_state(&mut db, t), oracle, "case {case}");
+        assert_eq!(engine_state(&mut db, t).unwrap(), oracle, "case {case}");
     }
 }
 
@@ -266,13 +187,17 @@ fn merge_then_crash_preserves_state() {
         let split = rng.gen_range_usize(0, txns.len() + 1);
         let mut db = nvm_db();
         let t = db.create_table("t", schema()).unwrap();
-        let mut oracle = Oracle::new();
-        apply_all(&mut db, t, &txns[..split], &mut oracle, None).unwrap();
+        let mut snaps = ledger();
+        let oracle = run_txns(&mut db, t, &txns[..split], &mut snaps);
         db.merge(t).unwrap();
-        assert_eq!(engine_state(&mut db, t), oracle, "case {case} post-merge");
-        apply_all(&mut db, t, &txns[split..], &mut oracle, None).unwrap();
+        assert_eq!(
+            engine_state(&mut db, t).unwrap(),
+            oracle,
+            "case {case} post-merge"
+        );
+        let oracle = run_txns(&mut db, t, &txns[split..], &mut snaps);
         db.restart_after_crash().unwrap();
-        assert_eq!(engine_state(&mut db, t), oracle, "case {case}");
+        assert_eq!(engine_state(&mut db, t).unwrap(), oracle, "case {case}");
     }
 }
 
@@ -284,26 +209,28 @@ fn ycsb_style_sequence_survives_eviction_crashes() {
         let nops = rng.gen_range_usize(5, 60);
         let mut db = nvm_db();
         let t = db.create_table("t", schema()).unwrap();
-        let mut oracle = Oracle::new();
-        for _ in 0..nops {
-            let key = rng.gen_range_i64(0, KEY_SPACE);
-            let txn = FuzzTxn {
-                ops: vec![match rng.gen_range_u64(0, 3) {
-                    0 => FuzzOp::Insert { key },
-                    1 => FuzzOp::Update {
+        let txns: Vec<TortureTxn> = (0..nops)
+            .map(|_| {
+                let key = rng.gen_range_i64(0, KEY_SPACE);
+                let op = match rng.gen_range_u64(0, 3) {
+                    0 => TortureOp::Insert { key },
+                    1 => TortureOp::Update {
                         key,
-                        version: (key as u32) * 7,
+                        version: key * 7,
                     },
-                    _ => FuzzOp::Delete { key },
-                }],
-                commit: true,
-            };
-            apply_all(&mut db, t, &[txn], &mut oracle, None).unwrap();
-        }
+                    _ => TortureOp::Delete { key },
+                };
+                TortureTxn {
+                    ops: vec![op],
+                    commit: true,
+                }
+            })
+            .collect();
+        let oracle = run_txns(&mut db, t, &txns, &mut ledger());
         let seed = rng.next_u64();
         db.restart(nvm::CrashPolicy::RandomEviction { p: 0.3, seed })
             .unwrap();
-        assert_eq!(engine_state(&mut db, t), oracle, "case {case}");
+        assert_eq!(engine_state(&mut db, t).unwrap(), oracle, "case {case}");
     }
 }
 
@@ -342,10 +269,10 @@ fn triple_restart_idempotent_across_backends() {
             continue;
         }
         db.restart_after_crash().unwrap();
-        let s1 = engine_state(&mut db, t);
+        let s1 = engine_state(&mut db, t).unwrap();
         for cycle in 2..=3 {
             db.restart_after_crash().unwrap();
-            let s = engine_state(&mut db, t);
+            let s = engine_state(&mut db, t).unwrap();
             assert_eq!(s1, s, "{mode}: restart #{cycle} diverged from restart #1");
         }
         assert_eq!(s1.len(), 20, "{mode}: committed rows must survive");

@@ -234,6 +234,73 @@ fn catalog_duplicate_and_unknown_errors() {
     assert!(db.scan_all(&tx, TableId(9)).is_err());
 }
 
+/// Out-of-range index columns, the table and index limits and duplicate
+/// table names are rejected with the same typed catalogue error on every
+/// backend, and a rejected `create_index` leaves the table writable.
+#[test]
+fn ddl_limits_rejected_alike_on_every_backend() {
+    use hyrise_nv::{EngineError, MAX_INDEXES_PER_TABLE, MAX_TABLES};
+    let image = std::env::temp_dir().join(format!("ddl-limits-{}.img", std::process::id()));
+    let mut configs = all_configs();
+    configs.push(DurabilityConfig::nvm_file(
+        &image,
+        64 << 20,
+        nvm::LatencyModel::zero(),
+    ));
+    for config in configs {
+        let mode = config.mode_name();
+        let (mut db, t) = setup(config);
+        let catalog = |r: hyrise_nv::Result<()>, what: &str| {
+            assert!(
+                matches!(r, Err(EngineError::Catalog(_))),
+                "{mode}: {what} must be a catalogue error, got {r:?}"
+            );
+        };
+
+        catalog(
+            db.create_index(t, 3, IndexKind::Hash),
+            "column past the schema",
+        );
+        catalog(
+            db.create_index(t, 99, IndexKind::Ordered),
+            "column past the schema",
+        );
+        let mut tx = db.begin();
+        db.insert(&mut tx, t, &row(1, "after-rejected-index", 1.0))
+            .unwrap();
+        db.commit(&mut tx).unwrap();
+
+        for i in 0..MAX_INDEXES_PER_TABLE {
+            let kind = [IndexKind::Hash, IndexKind::Ordered][i % 2];
+            db.create_index(t, i % 3, kind).unwrap();
+        }
+        catalog(
+            db.create_index(t, 0, IndexKind::Hash),
+            "index past the limit",
+        );
+        let mut tx = db.begin();
+        db.insert(&mut tx, t, &row(2, "after-index-limit", 2.0))
+            .unwrap();
+        db.commit(&mut tx).unwrap();
+        let tx = db.begin();
+        assert_eq!(db.index_lookup(&tx, t, 0, &Value::Int(2)).unwrap().len(), 1);
+
+        catalog(
+            db.create_table("accounts", schema()).map(|_| ()),
+            "duplicate name",
+        );
+        for i in 1..MAX_TABLES {
+            db.create_table(&format!("t{i}"), schema()).unwrap();
+        }
+        catalog(
+            db.create_table("one-too-many", schema()).map(|_| ()),
+            "table past the limit",
+        );
+        assert_eq!(db.table_count(), MAX_TABLES, "{mode}");
+    }
+    let _ = std::fs::remove_file(&image);
+}
+
 #[test]
 fn multi_table_transactions() {
     for config in all_configs() {

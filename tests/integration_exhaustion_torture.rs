@@ -21,25 +21,16 @@
 //! smoke while local runs go deeper. Failures append a repro line with
 //! the exact seed/nth under `results/`.
 
-use std::collections::BTreeMap;
 use std::path::PathBuf;
 
+use hyrise_nv::torture::{engine_state, env_usize, schema, Oracle};
 use hyrise_nv::{
     retry_write, Database, DurabilityConfig, EngineError, HealthState, IndexKind, TableId,
 };
 use nvm::{AllocFaultClass, AllocFaultSpec, CrashPoint, LatencyModel, TraceConfig};
-use storage::{ColumnDef, DataType, Schema, Value};
+use storage::Value;
 use util::rng::{Rng, SmallRng};
 use wal::{WalFaultClass, WalFaultSpec};
-
-type Oracle = BTreeMap<i64, i64>;
-
-fn schema() -> Schema {
-    Schema::new(vec![
-        ColumnDef::new("k", DataType::Int),
-        ColumnDef::new("ver", DataType::Int),
-    ])
-}
 
 fn fresh_db() -> Database {
     Database::create(DurabilityConfig::nvm_with_wal(
@@ -47,13 +38,6 @@ fn fresh_db() -> Database {
         LatencyModel::zero(),
     ))
     .unwrap()
-}
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
 }
 
 fn results_path(name: &str) -> PathBuf {
@@ -80,15 +64,6 @@ fn assert_capacity_class(e: &EngineError, ctx: &str) {
             ),
         "{ctx}: expected a typed capacity/admission error, got: {e}"
     );
-}
-
-fn scan_state(db: &mut Database, t: TableId) -> hyrise_nv::Result<Oracle> {
-    let tx = db.begin();
-    Ok(db
-        .scan_all(&tx, t)?
-        .into_iter()
-        .map(|r| (r.values[0].as_int().unwrap(), r.values[1].as_int().unwrap()))
-        .collect())
 }
 
 // ---------------------------------------------------------------------
@@ -203,7 +178,7 @@ fn sweep_scenario(nth: Option<u64>, seed: u64) -> u64 {
     let rep = db.verify_integrity().unwrap();
     assert!(rep.is_clean(), "{ctx}: {}", rep.render());
     assert_eq!(
-        scan_state(&mut db, t).unwrap(),
+        engine_state(&mut db, t).unwrap(),
         oracle,
         "{ctx}: committed state diverged after {typed_failures} typed aborts"
     );
@@ -219,7 +194,7 @@ fn sweep_scenario(nth: Option<u64>, seed: u64) -> u64 {
     // And the image survives a restart bit-for-bit.
     let report = db.restart_after_crash().unwrap();
     assert_eq!(report.mode, "nvm+wal", "{ctx}");
-    assert_eq!(scan_state(&mut db, t).unwrap(), oracle, "{ctx}");
+    assert_eq!(engine_state(&mut db, t).unwrap(), oracle, "{ctx}");
     assert!(db.verify_integrity().unwrap().is_clean(), "{ctx}");
     attempts
 }
@@ -313,7 +288,7 @@ fn probabilistic_alloc_faults_never_panic() {
             db.nv_backend().unwrap().region().clear_alloc_fault();
             let rep = db.verify_integrity().unwrap();
             assert!(rep.is_clean(), "seed {seed:#x}: {}", rep.render());
-            assert_eq!(scan_state(&mut db, t).unwrap(), oracle);
+            assert_eq!(engine_state(&mut db, t).unwrap(), oracle);
             // Typed aborts may have orphaned reservations; reclamation
             // sweeps them and the engine takes writes again.
             db.reclaim().unwrap();
@@ -323,7 +298,7 @@ fn probabilistic_alloc_faults_never_panic() {
             db.commit(&mut tx).unwrap();
             oracle.insert(-1, 0);
             db.restart_after_crash().unwrap();
-            assert_eq!(scan_state(&mut db, t).unwrap(), oracle);
+            assert_eq!(engine_state(&mut db, t).unwrap(), oracle);
         });
         if let Err(payload) = out {
             write_repro("alloc_probabilistic", seed, &[("p", "0.05")]);
@@ -434,7 +409,7 @@ fn watermark_state_machine_walks_through_public_api() {
 
     // Tighten the clamp until the same live footprint reads ≥ read_only:
     // the machine must jump to ReadOnly without any new writes landing.
-    let committed = scan_state(&mut db, t).unwrap();
+    let committed = engine_state(&mut db, t).unwrap();
     let s = db.heap_stats().unwrap();
     let live = s.high_water - s.free_bytes;
     db.set_capacity_clamp(Some(live + live / 50)).unwrap();
@@ -442,7 +417,7 @@ fn watermark_state_machine_walks_through_public_api() {
     assert_eq!(h.state, HealthState::ReadOnly);
 
     // Reads are served in ReadOnly; writes and DDL carry typed errors.
-    assert_eq!(scan_state(&mut db, t).unwrap(), committed);
+    assert_eq!(engine_state(&mut db, t).unwrap(), committed);
     let mut tx = db.begin();
     let e = db
         .insert(&mut tx, t, &[Value::Int(-7), Value::Int(0)])
@@ -492,7 +467,7 @@ fn retry_write_recovers_from_transient_exhaustion() {
     let h = db.health();
     assert_eq!(h.capacity_aborts, 1);
     assert!(h.reclaims >= 1);
-    assert_eq!(scan_state(&mut db, t).unwrap().len(), 1);
+    assert_eq!(engine_state(&mut db, t).unwrap().len(), 1);
 }
 
 /// Reclamation at the brim: merges retire dead versions and reservation
@@ -505,7 +480,7 @@ fn reclaim_frees_capacity_at_the_brim() {
     let mut next_key = 0i64;
     fill_batches(&mut db, t, &mut next_key, 100);
     // Delete most rows (their versions stay until a merge retires them).
-    let committed = scan_state(&mut db, t).unwrap();
+    let committed = engine_state(&mut db, t).unwrap();
     let mut tx = db.begin();
     for (i, (&key, _)) in committed.iter().enumerate() {
         if i % 8 != 0 {
@@ -595,7 +570,7 @@ fn wal_fault_scenario(class: WalFaultClass, nth: u64, seed: u64) {
 
     // A wedged log forces ReadOnly regardless of utilization; reads work.
     assert_eq!(db.health().state, HealthState::ReadOnly);
-    assert_eq!(scan_state(&mut db, t).unwrap(), oracle, "{ctx}");
+    assert_eq!(engine_state(&mut db, t).unwrap(), oracle, "{ctx}");
     let mut tx = db.begin();
     let e = db
         .insert(&mut tx, t, &[Value::Int(-9), Value::Int(0)])
@@ -619,7 +594,7 @@ fn wal_fault_scenario(class: WalFaultClass, nth: u64, seed: u64) {
     // restart replays to exactly the oracle.
     db.restart_after_crash()
         .unwrap_or_else(|e| panic!("{ctx}: recovery failed: {e}"));
-    assert_eq!(scan_state(&mut db, t).unwrap(), oracle, "{ctx}");
+    assert_eq!(engine_state(&mut db, t).unwrap(), oracle, "{ctx}");
     assert!(db.verify_integrity().unwrap().is_clean(), "{ctx}");
 }
 
@@ -742,7 +717,7 @@ fn crash_at_exhaustion_scenario(seed: u64, fence: u64) {
             )
         });
     assert_eq!(
-        scan_state(&mut db, t).unwrap(),
+        engine_state(&mut db, t).unwrap(),
         expected,
         "{ctx}: recovered state is not the committed prefix at cts {}",
         report.last_cts

@@ -19,22 +19,13 @@
 //! filename and body carry the seed base, fault class, and fault rate;
 //! failures append a repro line with the exact seed and target offset.
 
-use std::collections::BTreeMap;
 use std::path::PathBuf;
 
-use hyrise_nv::{Database, DurabilityConfig, IndexKind, TableId};
+use hyrise_nv::torture::{engine_state, env_usize, load_unique_keys, setup_tables, Oracle};
+use hyrise_nv::{Database, DurabilityConfig, TableId};
 use nvm::{FaultClass, FaultSpec, LatencyModel, CACHE_LINE};
-use storage::{ColumnDef, DataType, Schema, Value};
+use storage::Value;
 use util::rng::{Rng, SmallRng};
-
-type Oracle = BTreeMap<i64, i64>;
-
-fn schema() -> Schema {
-    Schema::new(vec![
-        ColumnDef::new("k", DataType::Int),
-        ColumnDef::new("ver", DataType::Int),
-    ])
-}
 
 /// Build a database in NVM+shadow-WAL mode with a deterministic committed
 /// workload: a merged main partition (when `merge`), a populated delta, and
@@ -45,41 +36,10 @@ fn build_db(seed: u64, merge: bool) -> (Database, TableId, Oracle) {
         LatencyModel::zero(),
     ))
     .unwrap();
-    let t = db.create_table("t", schema()).unwrap();
-    db.create_index(t, 0, IndexKind::Hash).unwrap();
-    db.create_index(t, 1, IndexKind::Ordered).unwrap();
+    let t = setup_tables(&mut db).unwrap();
 
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut oracle = Oracle::new();
-    let ntxns = 12;
-    for txn_i in 0..ntxns {
-        let mut tx = db.begin();
-        for _ in 0..10 {
-            let key = rng.gen_range_i64(0, 4000);
-            if oracle.contains_key(&key) {
-                continue;
-            }
-            let ver = rng.next_u64() as i64 & 0xFFFF;
-            db.insert(&mut tx, t, &[Value::Int(key), Value::Int(ver)])
-                .unwrap();
-            oracle.insert(key, ver);
-        }
-        db.commit(&mut tx).unwrap();
-        if merge && txn_i == ntxns / 2 {
-            db.merge(t).unwrap();
-        }
-    }
+    let oracle = load_unique_keys(&mut db, t, seed, merge).unwrap();
     (db, t, oracle)
-}
-
-/// Read the full visible state (key → ver), surfacing any typed error.
-fn scan_state(db: &mut Database, t: TableId) -> hyrise_nv::Result<Oracle> {
-    let tx = db.begin();
-    Ok(db
-        .scan_all(&tx, t)?
-        .into_iter()
-        .map(|r| (r.values[0].as_int().unwrap(), r.values[1].as_int().unwrap()))
-        .collect())
 }
 
 /// Pick a fault target strictly inside a checksummed extent: interior cache
@@ -140,7 +100,7 @@ fn run_scenario(class: FaultClass, seed: u64) -> Outcome {
     // the read-back succeeds, the data must be byte-for-byte the oracle.
     let verified = db.verify_media();
     let detected = verified.is_err();
-    match scan_state(&mut db, t) {
+    match engine_state(&mut db, t) {
         Ok(state) => {
             if state != oracle && !detected {
                 panic!(
@@ -156,7 +116,7 @@ fn run_scenario(class: FaultClass, seed: u64) -> Outcome {
     let report = db
         .restart_after_crash()
         .unwrap_or_else(|e| panic!("seed {seed:#x} {spec} in {what:?}: recovery failed: {e}"));
-    let after = scan_state(&mut db, t)
+    let after = engine_state(&mut db, t)
         .unwrap_or_else(|e| panic!("seed {seed:#x} {spec}: post-recovery read failed: {e}"));
     assert_eq!(
         after, oracle,
@@ -218,13 +178,6 @@ fn write_class_artifact(
         ("silent_corruption", "0"),
     ]);
     let _ = std::fs::write(results_path(&name), body + "\n");
-}
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
 }
 
 /// The torture matrix: every fault class × N seeded scenarios, each aimed
@@ -326,7 +279,7 @@ fn scribbled_table_recovers_via_wal_rung2() {
     assert!(report.structures_rebuilt >= 1);
     assert!(report.blocks_quarantined >= 1);
     assert!(report.log_records_replayed > 0);
-    assert_eq!(scan_state(&mut db, t).unwrap(), oracle);
+    assert_eq!(engine_state(&mut db, t).unwrap(), oracle);
     assert!(db.verify_media().is_ok());
     assert!(db.verify_integrity().unwrap().is_clean());
 }
@@ -357,7 +310,7 @@ fn transient_poison_repairs_at_rung1() {
         "transient poison must not need the WAL rung"
     );
     assert_eq!(report.structures_rebuilt, 0);
-    assert_eq!(scan_state(&mut db, t).unwrap(), oracle);
+    assert_eq!(engine_state(&mut db, t).unwrap(), oracle);
     assert!(db.verify_media().is_ok());
 }
 
@@ -373,7 +326,7 @@ fn nvm_with_wal_clean_restart_is_rung0() {
     assert_eq!(report.structures_rebuilt, 0);
     assert_eq!(report.blocks_quarantined, 0);
     assert!(report.media_structures_verified > 0);
-    assert_eq!(scan_state(&mut db, t).unwrap(), oracle);
+    assert_eq!(engine_state(&mut db, t).unwrap(), oracle);
 
     // And the mode keeps working after recovery: new commits land in both
     // the NVM image and the re-baselined shadow log, surviving a second
@@ -397,5 +350,5 @@ fn nvm_with_wal_clean_restart_is_rung0() {
     assert_eq!(report.rung, 2);
     let mut expected = oracle;
     expected.insert(9_999_999, 1);
-    assert_eq!(scan_state(&mut db, t).unwrap(), expected);
+    assert_eq!(engine_state(&mut db, t).unwrap(), expected);
 }

@@ -31,7 +31,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 
 use hyrise_nv::torture::{
-    apply_workload, check_invariants, gen_workload, setup_tables, Oracle, TortureTxn,
+    apply_workload, check_invariants, env_usize, gen_workload, setup_tables, Oracle, TortureTxn,
     TortureViolation,
 };
 use hyrise_nv::{Database, DurabilityConfig, RecoveryReport};
@@ -221,13 +221,6 @@ fn verify_or_die(
             );
         }
     }
-}
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
 }
 
 /// Measure how many fences a recovery of `path`'s current image issues, by

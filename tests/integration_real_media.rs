@@ -14,25 +14,15 @@
 //! the ladder work against bytes that really came back from disk, not just
 //! against the simulator's in-process images.
 
-use std::collections::BTreeMap;
 use std::io::{Seek, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 
-use hyrise_nv::{Database, DurabilityConfig, IndexKind, TableId, WalConfig};
+use hyrise_nv::torture::{engine_state, load_unique_keys, setup_tables, Oracle};
+use hyrise_nv::{Database, DurabilityConfig, TableId, WalConfig};
 use nvm::{LatencyModel, CACHE_LINE};
-use storage::{ColumnDef, DataType, Schema, Value};
 use util::rng::{Rng, SmallRng};
 
-type Oracle = BTreeMap<i64, i64>;
-
 const CAPACITY: u64 = 16 << 20;
-
-fn schema() -> Schema {
-    Schema::new(vec![
-        ColumnDef::new("k", DataType::Int),
-        ColumnDef::new("ver", DataType::Int),
-    ])
-}
 
 fn paths(tag: &str) -> (PathBuf, WalConfig) {
     let base = std::env::temp_dir().join(format!("real-media-{}-{tag}", std::process::id()));
@@ -69,29 +59,8 @@ struct Target {
 /// the extent list.
 fn build_closed_image(img: &Path, wal: &WalConfig, seed: u64) -> (Oracle, Vec<Target>) {
     let mut db = Database::create(config(img, wal)).unwrap();
-    let t = db.create_table("t", schema()).unwrap();
-    db.create_index(t, 0, IndexKind::Hash).unwrap();
-    db.create_index(t, 1, IndexKind::Ordered).unwrap();
-
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut oracle = Oracle::new();
-    for txn_i in 0..12 {
-        let mut tx = db.begin();
-        for _ in 0..10 {
-            let key = rng.gen_range_i64(0, 4000);
-            if oracle.contains_key(&key) {
-                continue;
-            }
-            let ver = rng.next_u64() as i64 & 0xFFFF;
-            db.insert(&mut tx, t, &[Value::Int(key), Value::Int(ver)])
-                .unwrap();
-            oracle.insert(key, ver);
-        }
-        db.commit(&mut tx).unwrap();
-        if txn_i == 6 {
-            db.merge(t).unwrap();
-        }
-    }
+    let t = setup_tables(&mut db).unwrap();
+    let oracle = load_unique_keys(&mut db, t, seed, true).unwrap();
     let mut targets: Vec<Target> = db
         .media_extents(t)
         .unwrap()
@@ -132,15 +101,6 @@ fn corrupt_file(img: &Path, offset: u64, len: u64, seed: u64) {
     f.sync_all().unwrap();
 }
 
-fn scan_state(db: &mut Database, t: TableId) -> Oracle {
-    let tx = db.begin();
-    db.scan_all(&tx, t)
-        .unwrap()
-        .into_iter()
-        .map(|r| (r.values[0].as_int().unwrap(), r.values[1].as_int().unwrap()))
-        .collect()
-}
-
 fn reopen(img: &Path, wal: &WalConfig) -> (Database, hyrise_nv::RecoveryReport, TableId) {
     let (mut db, report) = Database::open(config(img, wal)).unwrap();
     let t = db.table_id("t").expect("table survives");
@@ -163,7 +123,7 @@ fn intact_file_reopens_at_rung0() {
     assert_eq!(report.rung, 0);
     assert_eq!(report.structures_rebuilt, 0);
     assert!(report.media_structures_verified > 0);
-    assert_eq!(scan_state(&mut db, t), oracle);
+    assert_eq!(engine_state(&mut db, t).unwrap(), oracle);
     assert!(db.verify_media().is_ok());
     assert!(db.verify_integrity().unwrap().is_clean());
     cleanup(&img, &wal);
@@ -195,7 +155,7 @@ fn corrupt_index_extent_repairs_at_rung1() {
         report.log_records_replayed, 0,
         "no WAL replay for index damage"
     );
-    assert_eq!(scan_state(&mut db, t), oracle);
+    assert_eq!(engine_state(&mut db, t).unwrap(), oracle);
     assert!(db.verify_media().is_ok());
     assert!(db.verify_integrity().unwrap().is_clean());
     cleanup(&img, &wal);
@@ -223,7 +183,7 @@ fn corrupt_table_extent_repairs_at_rung2() {
     );
     assert!(report.structures_rebuilt >= 1);
     assert!(report.log_records_replayed > 0);
-    assert_eq!(scan_state(&mut db, t), oracle);
+    assert_eq!(engine_state(&mut db, t).unwrap(), oracle);
     assert!(db.verify_media().is_ok());
     assert!(db.verify_integrity().unwrap().is_clean());
 
@@ -236,6 +196,6 @@ fn corrupt_table_extent_repairs_at_rung2() {
         "repair must persist (report: {})",
         report.render()
     );
-    assert_eq!(scan_state(&mut db, t), oracle);
+    assert_eq!(engine_state(&mut db, t).unwrap(), oracle);
     cleanup(&img, &wal);
 }

@@ -19,64 +19,24 @@
 //! failures shrink to the smallest nested chain that still reproduces and
 //! are written as replay artifacts under `results/`.
 
-use std::collections::BTreeMap;
 use std::path::PathBuf;
 
-use hyrise_nv::{Database, DurabilityConfig, IndexKind, TableId};
+use hyrise_nv::torture::{
+    apply_workload, check_invariants, engine_state, env_usize, gen_workload_sized, setup_tables,
+    Oracle, TortureTxn as Txn, TortureViolation as Violation,
+};
+use hyrise_nv::{Database, DurabilityConfig, TableId};
 use nvm::{
     AllocFaultClass, AllocFaultSpec, CrashPoint, CrashSchedule, FaultClass, FaultSpec,
     LatencyModel, TraceConfig, CACHE_LINE,
 };
-use storage::{ColumnDef, DataType, Schema, Value};
+use storage::Value;
 use util::rng::{Rng, SmallRng};
 
-type Oracle = BTreeMap<i64, i64>;
-
-#[derive(Debug, Clone)]
-enum Op {
-    Insert { key: i64 },
-    Update { key: i64, version: i64 },
-    Delete { key: i64 },
-}
-
-#[derive(Debug, Clone)]
-struct Txn {
-    ops: Vec<Op>,
-    commit: bool,
-}
-
+/// This suite's workloads are a little shorter than the crash-torture
+/// default: 8..20 transactions per seed.
 fn gen_workload(seed: u64) -> Vec<Txn> {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let ntxns = rng.gen_range_usize(8, 20);
-    (0..ntxns)
-        .map(|_| {
-            let nops = rng.gen_range_usize(1, 6);
-            let ops = (0..nops)
-                .map(|_| {
-                    let key = rng.gen_range_i64(0, 1000);
-                    match rng.gen_range_u64(0, 3) {
-                        0 => Op::Insert { key },
-                        1 => Op::Update {
-                            key,
-                            version: rng.next_u64() as i64 & 0xFFFF,
-                        },
-                        _ => Op::Delete { key },
-                    }
-                })
-                .collect();
-            Txn {
-                ops,
-                commit: rng.gen_bool(0.8),
-            }
-        })
-        .collect()
-}
-
-fn schema() -> Schema {
-    Schema::new(vec![
-        ColumnDef::new("k", DataType::Int),
-        ColumnDef::new("ver", DataType::Int),
-    ])
+    gen_workload_sized(seed, 8..20)
 }
 
 /// Which NVM-backed durability mode a scenario class runs under.
@@ -94,56 +54,12 @@ fn fresh_db(kind: NvKind) -> (Database, TableId) {
         NvKind::WithWal => DurabilityConfig::nvm_with_wal(16 << 20, LatencyModel::zero()),
     };
     let mut db = Database::create(cfg).unwrap();
-    let t = db.create_table("t", schema()).unwrap();
-    db.create_index(t, 0, IndexKind::Hash).unwrap();
-    db.create_index(t, 1, IndexKind::Ordered).unwrap();
+    let t = setup_tables(&mut db).unwrap();
     (db, t)
 }
 
-fn apply_workload(db: &mut Database, t: TableId, txns: &[Txn], snaps: &mut Vec<(u64, Oracle)>) {
-    let mut oracle = snaps.last().map(|(_, o)| o.clone()).unwrap_or_default();
-    for txn in txns {
-        let mut shadow = oracle.clone();
-        let mut tx = db.begin();
-        for op in &txn.ops {
-            match op {
-                Op::Insert { key } => {
-                    if !shadow.contains_key(key) {
-                        db.insert(&mut tx, t, &[Value::Int(*key), Value::Int(0)])
-                            .unwrap();
-                        shadow.insert(*key, 0);
-                    }
-                }
-                Op::Update { key, version } => {
-                    let hits = db.scan_eq(&tx, t, 0, &Value::Int(*key)).unwrap();
-                    if let Some(hit) = hits.first() {
-                        db.update(
-                            &mut tx,
-                            t,
-                            hit.row,
-                            &[Value::Int(*key), Value::Int(*version)],
-                        )
-                        .unwrap();
-                        shadow.insert(*key, *version);
-                    }
-                }
-                Op::Delete { key } => {
-                    let hits = db.scan_eq(&tx, t, 0, &Value::Int(*key)).unwrap();
-                    if let Some(hit) = hits.first() {
-                        db.delete(&mut tx, t, hit.row).unwrap();
-                        shadow.remove(key);
-                    }
-                }
-            }
-        }
-        if txn.commit {
-            let cts = db.commit(&mut tx).unwrap();
-            oracle = shadow;
-            snaps.push((cts, oracle.clone()));
-        } else {
-            db.abort(&mut tx).unwrap();
-        }
-    }
+fn run_workload(db: &mut Database, t: TableId, txns: &[Txn], snaps: &mut Vec<(u64, Oracle)>) {
+    apply_workload(db, t, txns, snaps, |_, _| {}).unwrap();
 }
 
 /// Pre-trace preload for the media-fault classes: a merged main partition
@@ -163,21 +79,6 @@ fn preload_main(db: &mut Database, t: TableId, snaps: &mut Vec<(u64, Oracle)>) {
         snaps.push((cts, oracle.clone()));
     }
     db.merge(t).unwrap();
-}
-
-fn engine_state(db: &mut Database, t: TableId) -> Oracle {
-    let tx = db.begin();
-    db.scan_all(&tx, t)
-        .unwrap()
-        .into_iter()
-        .map(|r| (r.values[0].as_int().unwrap(), r.values[1].as_int().unwrap()))
-        .collect()
-}
-
-#[derive(Debug)]
-struct Violation {
-    invariant: &'static str,
-    detail: String,
 }
 
 /// Outcome of a successfully recovered chain.
@@ -251,7 +152,7 @@ fn run_chain(
     region.trace_start(TraceConfig { keep_events: false });
     region.arm_crash(p0).unwrap();
 
-    apply_workload(&mut db, t, txns, &mut snaps);
+    run_workload(&mut db, t, txns, &mut snaps);
 
     if adversity != Adversity::None {
         // The damage lands in both images, so it survives the crash
@@ -292,68 +193,8 @@ fn run_chain(
     })?;
     lint_findings += report.lint_findings.len();
 
-    // Invariants 1 + 2: the recovered state is exactly the committed
-    // prefix at the durable watermark.
-    let expected = snaps
-        .iter()
-        .rev()
-        .find(|(cts, _)| *cts <= report.last_cts)
-        .map(|(_, o)| o.clone())
-        .ok_or_else(|| Violation {
-            invariant: "committed-prefix",
-            detail: format!(
-                "seed {seed:#x}: recovered last_cts {} matches no commit ledger entry",
-                report.last_cts
-            ),
-        })?;
-    let got = engine_state(&mut db, t);
-    if got != expected {
-        let missing: Vec<_> = expected
-            .iter()
-            .filter(|(k, _)| !got.contains_key(*k))
-            .collect();
-        let extra: Vec<_> = got
-            .iter()
-            .filter(|(k, _)| !expected.contains_key(*k))
-            .collect();
-        let inv = if extra.is_empty() {
-            "committed-prefix-durability"
-        } else {
-            "no-uncommitted-effects"
-        };
-        return Err(Violation {
-            invariant: inv,
-            detail: format!(
-                "seed {seed:#x}: state diverges at last_cts {}: missing {missing:?}, \
-                 extra {extra:?}",
-                report.last_cts
-            ),
-        });
-    }
-
-    // Invariants 2 (pending markers), 3, 4.
-    let integrity = db.verify_integrity().map_err(|e| Violation {
-        invariant: "integrity-check",
-        detail: format!("seed {seed:#x}: verify_integrity failed: {e}"),
-    })?;
-    if integrity.heap_limbo_blocks != 0 {
-        return Err(Violation {
-            invariant: "allocator-leak-free",
-            detail: format!("seed {seed:#x}: {}", integrity.render()),
-        });
-    }
-    if !integrity.mvcc.is_clean() {
-        return Err(Violation {
-            invariant: "no-uncommitted-effects",
-            detail: format!("seed {seed:#x}: {}", integrity.render()),
-        });
-    }
-    if !integrity.index.is_clean() {
-        return Err(Violation {
-            invariant: "index-table-agreement",
-            detail: format!("seed {seed:#x}: {}", integrity.render()),
-        });
-    }
+    check_invariants(&mut db, t, &snaps, report.last_cts, seed)?;
+    let got = engine_state(&mut db, t).unwrap();
 
     Ok(ChainResult {
         state: got,
@@ -376,7 +217,7 @@ fn recovery_fence_budget(kind: NvKind, txns: &[Txn], p0: CrashPoint, adversity: 
     let region = db.nv_backend().unwrap().region().clone();
     region.trace_start(TraceConfig { keep_events: false });
     region.arm_crash(p0).unwrap();
-    apply_workload(&mut db, t, txns, &mut snaps);
+    run_workload(&mut db, t, txns, &mut snaps);
     if adversity != Adversity::None {
         let spec = pick_fault(&db, t, 0x0BAD_5EED);
         region.inject_fault(&spec).unwrap();
@@ -396,7 +237,7 @@ fn workload_fence_budget(kind: NvKind, txns: &[Txn], adversity: Adversity) -> u6
     }
     let region = db.nv_backend().unwrap().region().clone();
     region.trace_start(TraceConfig { keep_events: false });
-    apply_workload(&mut db, t, txns, &mut snaps);
+    run_workload(&mut db, t, txns, &mut snaps);
     let fences = region.trace_stop().unwrap().fences;
     assert!(fences > 0);
     fences
@@ -480,13 +321,6 @@ fn shrink_chain(
             (chain, v)
         }
     }
-}
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
 }
 
 fn scenario_count() -> usize {
@@ -679,29 +513,17 @@ fn wal_backend_chains_converge_by_repeated_restart() {
 
         let run = |cycles: usize| {
             let mut db = Database::create(DurabilityConfig::wal_temp()).unwrap();
-            let t = db.create_table("t", schema()).unwrap();
-            db.create_index(t, 0, IndexKind::Hash).unwrap();
-            db.create_index(t, 1, IndexKind::Ordered).unwrap();
+            let t = setup_tables(&mut db).unwrap();
             let mut snaps = vec![(0, Oracle::new())];
-            apply_workload(&mut db, t, &txns, &mut snaps);
+            run_workload(&mut db, t, &txns, &mut snaps);
             let mut last_cts = 0;
             for _ in 0..cycles {
                 last_cts = db.restart_after_crash().unwrap().last_cts;
             }
-            let expected = snaps
-                .iter()
-                .rev()
-                .find(|(cts, _)| *cts <= last_cts)
-                .map(|(_, o)| o.clone())
-                .unwrap_or_else(|| panic!("seed {seed:#x}: cts {last_cts} not in ledger"));
-            let got = engine_state(&mut db, t);
-            assert_eq!(
-                got, expected,
-                "seed {seed:#x} cycles {cycles}: not the committed prefix at {last_cts}"
-            );
-            let rep = db.verify_integrity().unwrap();
-            assert!(rep.is_clean(), "seed {seed:#x}: {}", rep.render());
-            (got, last_cts)
+            check_invariants(&mut db, t, &snaps, last_cts, seed).unwrap_or_else(|v| {
+                panic!("cycles {cycles}: `{}` violated: {}", v.invariant, v.detail)
+            });
+            (engine_state(&mut db, t).unwrap(), last_cts)
         };
 
         let oracle = run(1);
@@ -729,7 +551,7 @@ fn exhaustion_chains_converge() {
         let clamp = {
             let (mut db, t) = fresh_db(NvKind::WithWal);
             let mut snaps = vec![(0, Oracle::new())];
-            apply_workload(&mut db, t, &txns, &mut snaps);
+            run_workload(&mut db, t, &txns, &mut snaps);
             let s = db.heap_stats().unwrap();
             (s.high_water - s.free_bytes) + 32 * 1024
         };
@@ -739,7 +561,7 @@ fn exhaustion_chains_converge() {
             let region = db.nv_backend().unwrap().region().clone();
             region.trace_start(TraceConfig { keep_events: false });
             let mut snaps = vec![(0, Oracle::new())];
-            apply_workload(&mut db, t, &txns, &mut snaps);
+            run_workload(&mut db, t, &txns, &mut snaps);
             db.set_capacity_clamp(Some(clamp)).unwrap();
             region
                 .arm_crash(CrashPoint::AtFence { fence: u64::MAX })
@@ -758,7 +580,7 @@ fn exhaustion_chains_converge() {
                 integrity.render()
             );
             ChainResult {
-                state: engine_state(&mut db, t),
+                state: engine_state(&mut db, t).unwrap(),
                 last_cts: report.last_cts,
                 attempt: report.attempt,
                 lint_findings: report.lint_findings.len(),

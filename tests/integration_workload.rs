@@ -93,37 +93,94 @@ fn ycsb_mixed_run_keeps_unique_visible_keys() {
     }
 }
 
+/// Everything a reader can observe of the YCSB table: the visible rows,
+/// every point lookup, a few fixed range lookups and the key sum.
+type ReadState = (
+    Vec<(i64, String)>,
+    Vec<Vec<Vec<Value>>>,
+    Vec<Vec<Vec<Value>>>,
+    Vec<hyrise_nv::AggRow>,
+);
+
+fn read_state(db: &mut Database, t: TableId, max_key: i64) -> ReadState {
+    let values = |hits: Vec<storage::ScanResult>| {
+        let mut v: Vec<Vec<Value>> = hits.into_iter().map(|r| r.values).collect();
+        v.sort();
+        v
+    };
+    let tx = db.begin();
+    let mut rows: Vec<(i64, String)> = db
+        .scan_all(&tx, t)
+        .unwrap()
+        .into_iter()
+        .map(|r| {
+            (
+                r.values[0].as_int().unwrap(),
+                r.values[1].as_text().unwrap().to_owned(),
+            )
+        })
+        .collect();
+    rows.sort();
+    let points = (-1..=max_key)
+        .map(|k| values(db.index_lookup(&tx, t, 0, &Value::Int(k)).unwrap()))
+        .collect();
+    let ranges = [(0, 10), (95, 160), (290, 310), (-5, 0)]
+        .iter()
+        .map(|(lo, hi)| {
+            let (lo, hi) = (Value::Int(*lo), Value::Int(*hi));
+            values(
+                db.index_range_lookup(&tx, t, 0, Some(&lo), Some(&hi))
+                    .unwrap(),
+            )
+        })
+        .collect();
+    let sum = db.aggregate(&tx, t, 0, hyrise_nv::Agg::Sum, None).unwrap();
+    (rows, points, ranges, sum)
+}
+
 #[test]
 fn ycsb_state_identical_across_backends() {
-    // The same deterministic op stream must produce identical visible
-    // states on every backend.
+    // The same deterministic op stream, with one aborted transaction in
+    // the middle, must produce identical reads on every backend.
+    let image = std::env::temp_dir().join(format!("ycsb-xbackend-{}.img", std::process::id()));
     let mut states = Vec::new();
     for config in [
         DurabilityConfig::nvm_default(),
+        DurabilityConfig::nvm_file(&image, 64 << 20, nvm::LatencyModel::zero()),
         DurabilityConfig::wal_temp(),
         DurabilityConfig::Volatile,
     ] {
+        let mode = config.mode_name();
         let (mut db, t, mut generator) = ycsb_db(config, 300);
-        for op in generator.ops(800) {
+        for (i, op) in generator.ops(800).into_iter().enumerate() {
+            if i == 400 {
+                let mut tx = db.begin();
+                let hit = db.index_lookup(&tx, t, 0, &Value::Int(7)).unwrap();
+                db.update(&mut tx, t, hit[0].row, &[Value::Int(7), "aborted".into()])
+                    .unwrap();
+                db.insert(&mut tx, t, &[Value::Int(-1), "aborted".into()])
+                    .unwrap();
+                db.abort(&mut tx).unwrap();
+            }
             apply_op(&mut db, t, &op);
         }
-        let tx = db.begin();
-        let mut rows: Vec<(i64, String)> = db
-            .scan_all(&tx, t)
-            .unwrap()
-            .into_iter()
-            .map(|r| {
-                (
-                    r.values[0].as_int().unwrap(),
-                    r.values[1].as_text().unwrap().to_owned(),
-                )
-            })
-            .collect();
-        rows.sort();
-        states.push(rows);
+        states.push((mode, read_state(&mut db, t, 300)));
     }
-    assert_eq!(states[0], states[1], "nvm vs wal");
-    assert_eq!(states[0], states[2], "nvm vs volatile");
+    let _ = std::fs::remove_file(&image);
+    let (_, reference) = &states[0];
+    assert!(reference.0.iter().all(|(_, v)| v != "aborted"));
+    for (mode, state) in &states[1..] {
+        assert_eq!(state.0, reference.0, "{mode}: scan_all differs from nvm");
+        assert_eq!(
+            state.1, reference.1,
+            "{mode}: index_lookup differs from nvm"
+        );
+        assert_eq!(
+            state.2, reference.2,
+            "{mode}: range lookup differs from nvm"
+        );
+        assert_eq!(state.3, reference.3, "{mode}: aggregate differs from nvm");
+    }
 }
 
 #[test]
